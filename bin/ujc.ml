@@ -12,17 +12,13 @@ module Obs = Ujam_obs.Obs
 
 let machine_conv =
   let parse s =
-    match String.lowercase_ascii s with
-    | "alpha" -> Ok Ujam_machine.Presets.alpha
-    | "hppa" | "pa-risc" -> Ok Ujam_machine.Presets.hppa
-    | "alpha-mem" | "alpha_mem" -> Ok Ujam_machine.Presets.alpha_mem
-    | "hppa-mem" | "hppa_mem" -> Ok Ujam_machine.Presets.hppa_mem
-    | "generic" -> Ok (Ujam_machine.Presets.generic ())
-    | _ ->
+    match Ujam_machine.Presets.of_name s with
+    | Some m -> Ok m
+    | None ->
         Error
           (`Msg
-            (Printf.sprintf
-               "unknown machine %S (alpha|hppa|alpha-mem|hppa-mem|generic)" s))
+            (Printf.sprintf "unknown machine %S (%s)" s
+               (String.concat "|" Ujam_machine.Presets.names)))
   in
   let print ppf (m : Ujam_machine.Machine.t) =
     Format.pp_print_string ppf m.Ujam_machine.Machine.name
@@ -34,7 +30,9 @@ let machine_arg =
     value
     & opt machine_conv Ujam_machine.Presets.alpha
     & info [ "m"; "machine" ] ~docv:"MACHINE"
-        ~doc:"Target machine (alpha, hppa, alpha-mem, hppa-mem, generic).")
+        ~doc:
+          (Printf.sprintf "Target machine (%s)."
+             (String.concat ", " Ujam_machine.Presets.names)))
 
 let size_arg =
   Arg.(value & opt (some int) None & info [ "n"; "size" ] ~docv:"N" ~doc:"Problem size.")
@@ -81,6 +79,15 @@ let domains_arg =
     value & opt int 1
     & info [ "domains" ] ~docv:"D" ~doc:"Parallel domains for batch runs.")
 
+let seed_arg =
+  Arg.(value & opt int 1997 & info [ "seed" ] ~docv:"S" ~doc:"Generator seed.")
+
+let input_flag =
+  Arg.(
+    value & flag
+    & info [ "no-input" ]
+        ~doc:"Exclude input (read-read) dependences, as the UGS model does.")
+
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit machine-readable JSON.")
 
@@ -100,26 +107,33 @@ let timings_arg =
 let effective_model no_cache model =
   if no_cache then (module Model.No_cache : Model.MODEL) else model
 
-let kernel_arg =
+(* A Table-2 kernel by name, else an extra kernel wrapped as an entry. *)
+let find_kernel s =
+  match Ujam_kernels.Catalogue.find s with
+  | Some e -> Some e
+  | None ->
+      Option.map
+        (fun build ->
+          { Ujam_kernels.Catalogue.num = 0; name = s;
+            description = "extra kernel";
+            build = (fun ?n () -> build ?n ()) })
+        (List.assoc_opt s Ujam_kernels.Extras.all)
+
+let kernel_conv =
   let parse s =
-    match Ujam_kernels.Catalogue.find s with
+    match find_kernel s with
     | Some e -> Ok e
-    | None -> (
-        match List.assoc_opt s Ujam_kernels.Extras.all with
-        | Some build ->
-            Ok
-              { Ujam_kernels.Catalogue.num = 0; name = s;
-                description = "extra kernel";
-                build = (fun ?n () -> build ?n ()) }
-        | None ->
-            Error (`Msg (Printf.sprintf "unknown kernel %S; see `ujc list'" s)))
+    | None -> Error (`Msg (Printf.sprintf "unknown kernel %S; see `ujc list'" s))
   in
   let print ppf (e : Ujam_kernels.Catalogue.entry) =
     Format.pp_print_string ppf e.Ujam_kernels.Catalogue.name
   in
+  Arg.conv (parse, print)
+
+let kernel_arg =
   Arg.(
     required
-    & pos 0 (some (conv (parse, print))) None
+    & pos 0 (some kernel_conv) None
     & info [] ~docv:"KERNEL" ~doc:"Kernel name from Table 2 (see `ujc list').")
 
 let build (e : Ujam_kernels.Catalogue.entry) n =
@@ -272,25 +286,9 @@ let check_arg =
 
 let optimize_cmd =
   let kernel_opt_arg =
-    let parse s =
-      match Ujam_kernels.Catalogue.find s with
-      | Some e -> Ok e
-      | None -> (
-          match List.assoc_opt s Ujam_kernels.Extras.all with
-          | Some build ->
-              Ok
-                { Ujam_kernels.Catalogue.num = 0; name = s;
-                  description = "extra kernel";
-                  build = (fun ?n () -> build ?n ()) }
-          | None ->
-              Error (`Msg (Printf.sprintf "unknown kernel %S; see `ujc list'" s)))
-    in
-    let print ppf (e : Ujam_kernels.Catalogue.entry) =
-      Format.pp_print_string ppf e.Ujam_kernels.Catalogue.name
-    in
     Arg.(
       value
-      & pos 0 (some (conv (parse, print))) None
+      & pos 0 (some kernel_conv) None
       & info [] ~docv:"KERNEL"
           ~doc:"Kernel name from Table 2 (omit with $(b,--all)).")
   in
@@ -448,18 +446,30 @@ let read_file path =
   close_in ic;
   s
 
-let parse_file path =
-  match Ujam_ir.Parse.nest ~name:(Filename.remove_extension (Filename.basename path))
-          (read_file path)
-  with
+(* A loop-nest file when [s] names one, else a kernel by name; an
+   unknown name is a usage error. *)
+let resolve_target s n =
+  if Sys.file_exists s && not (Sys.is_directory s) then
+    Ujam_ir.Parse.nest
+      ~name:(Filename.remove_extension (Filename.basename s))
+      (read_file s)
+  else
+    match find_kernel s with
+    | Some e -> Ok (build e n)
+    | None ->
+        Format.eprintf "ujc: unknown kernel or file %S; see `ujc list'@." s;
+        exit 2
+
+let require_target s n =
+  match resolve_target s n with
   | Ok nest -> nest
   | Error e ->
-      Format.eprintf "%s: %a@." path Ujam_ir.Parse.pp_error e;
+      Format.eprintf "%s: %a@." s Ujam_ir.Parse.pp_error e;
       exit 1
 
 let compile_cmd =
   let run path machine bound no_cache permute =
-    let nest = parse_file path in
+    let nest = require_target path None in
     let nest, perm_note =
       if permute then begin
         let c = Permute.best_legal ~machine nest in
@@ -510,12 +520,6 @@ let graph_cmd =
   let dot_flag =
     Arg.(value & flag & info [ "dot" ] ~doc:"Emit Graphviz instead of text.")
   in
-  let input_flag =
-    Arg.(
-      value & flag
-      & info [ "no-input" ]
-          ~doc:"Exclude input (read-read) dependences, as the UGS model does.")
-  in
   let run e n dot no_input =
     let nest = build e n in
     let g = Ujam_depend.Graph.build ~include_input:(not no_input) nest in
@@ -562,9 +566,6 @@ let verify_cmd =
 let corpus_cmd =
   let count_arg =
     Arg.(value & opt int 1187 & info [ "count" ] ~docv:"N" ~doc:"Corpus size.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1997 & info [ "seed" ] ~docv:"S" ~doc:"Generator seed.")
   in
   let stats_flag =
     Arg.(
@@ -621,9 +622,6 @@ let fuzz_cmd =
       value & opt int 200
       & info [ "n"; "nests" ] ~docv:"N" ~doc:"Number of generated nests to check.")
   in
-  let seed_arg =
-    Arg.(value & opt int 1997 & info [ "seed" ] ~docv:"S" ~doc:"Generator seed.")
-  in
   let max_depth_arg =
     Arg.(
       value & opt int 3
@@ -648,16 +646,18 @@ let fuzz_cmd =
           ~doc:"Shrink each failing nest to a minimal reproducer (drop               loops, drop references, shrink coefficients) and print it               as a rebuildable OCaml snippet.")
   in
   let layers_arg =
+    let names = List.map Fuzz.layer_name Fuzz.registry in
     let layer_conv =
       let parse s =
-        match String.lowercase_ascii s with
-        | "recount" -> Ok Fuzz.Recount
-        | "sim" -> Ok Fuzz.Sim
-        | "cross-model" | "cross" -> Ok Fuzz.Cross_model
-        | "verify" -> Ok Fuzz.Verify
-        | "cachepred" -> Ok Fuzz.Cachepred
-        | "native" -> Ok Fuzz.Native
-        | _ -> Error (`Msg (Printf.sprintf "unknown layer %S (recount|sim|cross-model|verify|cachepred|native)" s))
+        let name =
+          match String.lowercase_ascii s with "cross" -> "cross-model" | n -> n
+        in
+        match List.find_opt (fun l -> Fuzz.layer_name l = name) Fuzz.registry with
+        | Some l -> Ok l
+        | None ->
+            Error
+              (`Msg
+                (Printf.sprintf "unknown layer %S (%s)" s (String.concat "|" names)))
       in
       Arg.conv (parse, fun ppf l -> Format.pp_print_string ppf (Fuzz.layer_name l))
     in
@@ -665,7 +665,9 @@ let fuzz_cmd =
       value
       & opt (list layer_conv) Fuzz.all_layers
       & info [ "layers" ] ~docv:"LAYERS"
-          ~doc:"Comma-separated oracle layers to run (recount, sim,               cross-model, verify, cachepred, native).")
+          ~doc:
+            (Printf.sprintf "Comma-separated oracle layers to run (%s)."
+               (String.concat ", " names)))
   in
   let native_flag =
     Arg.(
@@ -688,8 +690,8 @@ let fuzz_cmd =
   let run n seed max_depth bound machine domains layers native deep shrink
       recurrent dedup json =
     let layers =
-      if native && not (List.mem Fuzz.Native layers) then
-        layers @ [ Fuzz.Native ]
+      if native && not (List.exists (fun l -> Fuzz.layer_name l = "native") layers)
+      then layers @ [ Fuzz.native () ]
       else layers
     in
     let cfg =
@@ -721,44 +723,18 @@ let fuzz_cmd =
 (* Analysis subcommands: lint / explain / dot take either a kernel name
    or a loop-nest file in the Fortran-style syntax. *)
 
-type target_nest =
-  | T_nest of Ujam_ir.Nest.t
-  | T_parse_error of string * Ujam_ir.Parse.error
-
-let resolve_target s n =
-  if Sys.file_exists s && not (Sys.is_directory s) then
-    match
-      Ujam_ir.Parse.nest
-        ~name:(Filename.remove_extension (Filename.basename s))
-        (read_file s)
-    with
-    | Ok nest -> Some (T_nest nest)
-    | Error e -> Some (T_parse_error (s, e))
-  else
-    match Ujam_kernels.Catalogue.find s with
-    | Some e -> Some (T_nest (build e n))
-    | None -> (
-        match List.assoc_opt s Ujam_kernels.Extras.all with
-        | Some b ->
-            Some (T_nest (match n with Some n -> b ~n () | None -> b ()))
-        | None -> None)
-
-let require_target s n =
-  match resolve_target s n with
-  | Some (T_nest nest) -> nest
-  | Some (T_parse_error (path, e)) ->
-      Format.eprintf "%s: %a@." path Ujam_ir.Parse.pp_error e;
-      exit 1
-  | None ->
-      Format.eprintf "ujc: unknown kernel or file %S; see `ujc list'@." s;
-      exit 2
-
 let target_arg =
   Arg.(
     value
     & pos 0 (some string) None
     & info [] ~docv:"TARGET"
         ~doc:"Kernel name from Table 2 or a loop-nest file (see `ujc show').")
+
+let target_req =
+  Arg.(
+    required
+    & pos 0 (some string) None
+    & info [] ~docv:"TARGET" ~doc:"Kernel name from Table 2 or a loop-nest file.")
 
 (* ------------------------------------------------------------------ *)
 (* ujc emit: lower a nest (and optionally its engine-chosen unroll) to
@@ -767,13 +743,6 @@ let target_arg =
    missing toolchain is a usage error (exit 2), never an exception. *)
 
 let emit_cmd =
-  let target_req =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"TARGET"
-          ~doc:"Kernel name from Table 2 or a loop-nest file.")
-  in
   let out_arg =
     Arg.(
       value & opt (some string) None
@@ -889,9 +858,6 @@ let lint_cmd =
       value & opt int 0
       & info [ "fuzz" ] ~docv:"N" ~doc:"Also lint $(docv) generated nests.")
   in
-  let seed_arg =
-    Arg.(value & opt int 1997 & info [ "seed" ] ~docv:"S" ~doc:"Generator seed.")
-  in
   let rules_arg =
     Arg.(
       value
@@ -920,13 +886,8 @@ let lint_cmd =
       | None -> []
       | Some s -> (
           match resolve_target s n with
-          | Some (T_nest nest) -> [ lint_nest nest ]
-          | Some (T_parse_error (path, e)) ->
-              [ (path, [ Lint.of_parse_error e ]) ]
-          | None ->
-              Format.eprintf
-                "ujc: unknown kernel or file %S; see `ujc list'@." s;
-              exit 2)
+          | Ok nest -> [ lint_nest nest ]
+          | Error e -> [ (s, [ Lint.of_parse_error e ]) ])
     in
     let catalogue =
       if not all then []
@@ -995,13 +956,6 @@ let lint_cmd =
 
 let explain_cmd =
   let open Ujam_analysis in
-  let target_req =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"TARGET"
-          ~doc:"Kernel name from Table 2 or a loop-nest file.")
-  in
   let run target n machine bound json seq level =
     let nest = require_target target n in
     let e = Explain.run ~bound ?level ~seq ~machine nest in
@@ -1015,19 +969,6 @@ let explain_cmd =
           $ json_arg $ seq_arg $ level_arg)
 
 let dot_cmd =
-  let input_flag =
-    Arg.(
-      value & flag
-      & info [ "no-input" ]
-          ~doc:"Exclude input (read-read) dependences, as the UGS model does.")
-  in
-  let target_req =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"TARGET"
-          ~doc:"Kernel name from Table 2 or a loop-nest file.")
-  in
   let run target n no_input =
     let nest = require_target target n in
     let g = Ujam_depend.Graph.build ~include_input:(not no_input) nest in
@@ -1258,22 +1199,18 @@ let () =
   (* cmdliner reserves single-dash spellings for one-letter names; accept
      the documented "--n" as sugar for "-n". *)
   let remap argv = Array.map (fun a -> if a = "--n" then "-n" else a) argv in
-  let group =
-    Cmd.group info
-      [ list_cmd; show_cmd; analyze_cmd; tables_cmd; optimize_cmd; simulate_cmd;
-        compile_cmd; fortran_cmd; verify_cmd; graph_cmd; corpus_cmd; fuzz_cmd;
-        emit_cmd; lint_cmd; explain_cmd; dot_cmd; trace_cmd; serve_cmd ]
+  let cmds =
+    [ list_cmd; show_cmd; analyze_cmd; tables_cmd; optimize_cmd; simulate_cmd;
+      compile_cmd; fortran_cmd; verify_cmd; graph_cmd; corpus_cmd; fuzz_cmd;
+      emit_cmd; lint_cmd; explain_cmd; dot_cmd; trace_cmd; serve_cmd ]
   in
+  let group = Cmd.group info cmds in
   (* An unknown first word used to fall through to cmdliner's generic
      usage error (exit 124) without naming the commands.  Catch it up
      front: reject argv(1) only when it is not an option and not a
      prefix of any known command name (cmdliner accepts unambiguous
      prefixes, so `ujc optim' must keep working). *)
-  let known =
-    [ "list"; "show"; "analyze"; "tables"; "optimize"; "simulate"; "compile";
-      "fortran"; "verify"; "graph"; "corpus"; "fuzz"; "emit"; "lint";
-      "explain"; "dot"; "trace"; "serve" ]
-  in
+  let known = List.map Cmd.name cmds in
   (if Array.length Sys.argv > 1 then
      let cmd = Sys.argv.(1) in
      let is_prefix_of name =

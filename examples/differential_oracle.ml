@@ -50,10 +50,10 @@ let () =
     { (Fuzz.default_config ~machine ()) with
       Fuzz.n = 10;
       seed = 42;
-      layers = [ Fuzz.Recount ];
+      layers = [ Fuzz.recount ~perturb () ];
       shrink = true }
   in
-  let report = Fuzz.run ~perturb cfg in
+  let report = Fuzz.run cfg in
   Format.printf "=== injected bug ===@.caught %d unexplained mismatch(es)@.@."
     report.Fuzz.unexplained;
   match report.Fuzz.failures with

@@ -52,3 +52,20 @@ let hppa_mem =
 
 let all = [ alpha; hppa; generic () ]
 let scenarios = [ alpha_mem; hppa_mem ]
+
+(* Every spelling the CLI and the daemon accept, canonical name first;
+   [generic] is built fresh per lookup. *)
+let table =
+  [ ("alpha", [], fun () -> alpha);
+    ("hppa", [ "pa-risc" ], fun () -> hppa);
+    ("alpha-mem", [ "alpha_mem" ], fun () -> alpha_mem);
+    ("hppa-mem", [ "hppa_mem" ], fun () -> hppa_mem);
+    ("generic", [], fun () -> generic ()) ]
+
+let names = List.map (fun (n, _, _) -> n) table
+
+let of_name s =
+  let s = String.lowercase_ascii s in
+  List.find_map
+    (fun (n, aliases, m) -> if n = s || List.mem s aliases then Some (m ()) else None)
+    table

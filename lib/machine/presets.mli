@@ -29,3 +29,11 @@ val all : Machine.t list
 
 val scenarios : Machine.t list
 (** The multi-level scenario machines ([alpha_mem]; [hppa_mem]). *)
+
+val names : string list
+(** Canonical preset names: ["alpha"], ["hppa"], ["alpha-mem"],
+    ["hppa-mem"], ["generic"]. *)
+
+val of_name : string -> Machine.t option
+(** Case-insensitive lookup by canonical name or alias (["pa-risc"],
+    ["alpha_mem"], ["hppa_mem"]); [None] for anything else. *)

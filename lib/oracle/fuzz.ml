@@ -4,7 +4,9 @@ open Ujam_engine
 open Ujam_workload
 module Obs = Ujam_obs.Obs
 
-(* Oracle metrics: no-ops until the observability sink is enabled. *)
+(* Oracle metrics: no-ops until the observability sink is enabled.  The
+   verify and native layers bump their own counters on every check,
+   shrinker re-runs included. *)
 let m_nests = Obs.counter "oracle.nests"
 let m_mismatches = Obs.counter "oracle.mismatches"
 let m_unexplained = Obs.counter "oracle.unexplained"
@@ -14,21 +16,17 @@ let m_verify_failed = Obs.counter "oracle.verify.failed"
 let m_native_checked = Obs.counter "oracle.native.checked"
 let m_native_skipped = Obs.counter "oracle.native.skipped"
 
-type layer = Recount | Sim | Cross_model | Verify | Native | Cachepred
+type tally = { checked : int; skipped : int; failed : int }
 
-let layer_name = function
-  | Recount -> "recount"
-  | Sim -> "sim"
-  | Cross_model -> "cross-model"
-  | Verify -> "verify"
-  | Native -> "native"
-  | Cachepred -> "cachepred"
+type layer = {
+  name : string;
+  default : bool;
+  stage : Error.stage;
+  check : config -> Nest.t -> Mismatch.t list * tally;
+  render : tally -> (string * (string * int) list) option;
+}
 
-(* The native layer stays opt-in: it forks the host toolchain per nest,
-   which is orders of magnitude slower than the analytical layers. *)
-let all_layers = [ Recount; Sim; Cross_model; Verify; Cachepred ]
-
-type config = {
+and config = {
   n : int;
   seed : int;
   max_depth : int;
@@ -38,12 +36,185 @@ type config = {
   domains : int;
   layers : layer list;
   shrink : bool;
-  deep : bool;  (** deep-space mode: 4-deep generator nests admitted *)
+  deep : bool;
   recurrent : bool;
-      (** recurrent mode: draw fence-binding recurrence nests instead
-          of the corpus mix *)
-  dedup : bool;  (** skip nests whose canonical digest was already drawn *)
+  dedup : bool;
 }
+
+let layer_name l = l.name
+let zero = { checked = 0; skipped = 0; failed = 0 }
+
+let add a b =
+  { checked = a.checked + b.checked;
+    skipped = a.skipped + b.skipped;
+    failed = a.failed + b.failed }
+
+(* A layer's findings with [failed] set to their count. *)
+let tallied ?(checked = 0) ?(skipped = 0) ms =
+  (ms, { checked; skipped; failed = List.length ms })
+
+let layer ?(default = true) ?(render = fun _ -> None) name stage check =
+  { name; default; stage; check; render }
+
+(* The report line and JSON key of a layer that only counts [checked]. *)
+let checked_line fmt key t = Some (Printf.sprintf fmt t.checked, [ (key, t.checked) ])
+
+(* Every vector of the searched space through the gated pipeline
+   ({!Ujam_analysis.Passes.apply_seq}: the legality gate, the structural
+   transform and the index-algebra post-condition all run per vector),
+   the dependence graph built once per nest. *)
+let each_unroll { bound; max_loops; machine; _ } nest f =
+  let ctx = Ujam_core.Analysis_ctx.create ~bound ~max_loops ~machine nest in
+  let graph = Ujam_core.Analysis_ctx.graph ctx in
+  Ujam_core.Unroll_space.iter (Ujam_core.Analysis_ctx.space ctx) (fun u ->
+      f u (Ujam_analysis.Passes.apply_seq ~graph nest [ Transform.Unroll u ]))
+
+(* ---- the layers ------------------------------------------------------- *)
+
+let recount ?perturb () =
+  layer "recount" Error.Tables (fun { bound; max_loops; machine; _ } nest ->
+      tallied ~checked:1 (Recount.check ~bound ~max_loops ?perturb ~machine nest))
+
+let sim =
+  layer "sim" Error.Sim
+    ~render:(checked_line "sim layer: %d nests replayed through the cache model" "sim_checked")
+    (fun { bound; max_loops; machine; _ } nest ->
+      let o = Simcheck.check ~bound ~max_loops ~machine nest in
+      tallied ~checked:(min 1 o.Simcheck.simulated) o.Simcheck.mismatches)
+
+let cross_model =
+  layer "cross-model" Error.Search (fun { bound; max_loops; machine; _ } nest ->
+      tallied ~checked:1 (Crossmodel.check ~bound ~max_loops ~machine nest))
+
+(* The verify layer: any diagnostic of the gated pipeline is a mismatch
+   the tables could never have caught (they never materialise code). *)
+let verify =
+  layer "verify" Error.Transform
+    ~render:(fun t ->
+      Some
+        ( Printf.sprintf "verify layer: %d unrolled bodies checked, %d rejected"
+            t.checked t.failed,
+          [ ("verify_checked", t.checked); ("verify_failed", t.failed) ] ))
+    (fun cfg nest ->
+      let ms = ref [] and checked = ref 0 in
+      each_unroll cfg nest (fun u r ->
+          incr checked;
+          match r with
+          | Ok _ -> ()
+          | Error diags ->
+              List.iter
+                (fun (d : Ujam_analysis.Diagnostic.t) ->
+                  ms :=
+                    Mismatch.make ~nest:(Nest.name nest)
+                      ~machine:cfg.machine.Machine.name
+                      (Mismatch.Verify
+                         { u;
+                           rule = d.Ujam_analysis.Diagnostic.rule;
+                           detail = d.Ujam_analysis.Diagnostic.message })
+                    :: !ms)
+                diags);
+      Obs.Counter.add m_verify_checked !checked;
+      Obs.Counter.add m_verify_failed (List.length !ms);
+      tallied ~checked:!checked (List.rev !ms))
+
+let cachepred =
+  layer "cachepred" Error.Sim
+    ~render:
+      (checked_line "cachepred layer: %d nests checked against the hierarchy simulator"
+         "cachepred_checked")
+    (fun { machine; _ } nest ->
+      let o = Cachepred.check ~machine nest in
+      tallied ~checked:(min 1 o.Cachepred.levels_checked) o.Cachepred.mismatches)
+
+(* The native layer: lower the original nest plus a deterministic
+   sample of its legalized unroll variants to one compiled program
+   ({!Ujam_native}) and demand that every variant's per-array checksums
+   match the reference interpreter run of that same variant.  A missing
+   toolchain is a skip, never a failure — the analytical layers keep
+   their verdicts. *)
+let native_max_variants = 4
+
+let native_check ~drop_copy cfg nest =
+  match Ujam_native.Toolchain.find () with
+  | Error _ ->
+      Obs.Counter.incr m_native_skipped;
+      tallied ~skipped:1 []
+  | Ok tc ->
+      let legal = ref [] in
+      each_unroll cfg nest (fun u r ->
+          match r with
+          | Ok (nest', _) when not (Ujam_linalg.Vec.is_zero u) ->
+              legal := (u, nest') :: !legal
+          | _ -> ());
+      let legal = List.rev !legal in
+      (* deterministic, evenly spaced sample: compiling every vector of
+         the space per nest would swamp the run *)
+      let sampled =
+        let n = List.length legal in
+        if n <= native_max_variants then legal
+        else
+          List.filteri
+            (fun i _ ->
+              i * native_max_variants / n
+              <> (i + 1) * native_max_variants / n)
+            legal
+      in
+      let variants =
+        { Ujam_native.Emit.vname = "orig"; nest }
+        :: List.map
+             (fun (u, nest') ->
+               { Ujam_native.Emit.vname = "u=" ^ Ujam_linalg.Vec.to_string u;
+                 nest = nest' })
+             sampled
+      in
+      let spec =
+        { Ujam_native.Emit.uname = Nest.name nest;
+          seed = cfg.seed;
+          repeats = 1;
+          variants }
+      in
+      (match Ujam_native.Native.run_units ~drop_last_stmt:drop_copy tc [ spec ] with
+      | Error msg -> failwith msg
+      | Ok [ res ] ->
+          let eqs = Ujam_native.Native.equivalences spec res in
+          let ms =
+            List.concat_map
+              (fun (e : Ujam_native.Native.equivalence) ->
+                List.map
+                  (fun (d : Ujam_native.Native.diff) ->
+                    Mismatch.make ~nest:(Nest.name nest)
+                      ~machine:cfg.machine.Machine.name
+                      (Mismatch.Native
+                         { variant = e.Ujam_native.Native.vname;
+                           array_name = d.Ujam_native.Native.array_name;
+                           native = d.Ujam_native.Native.native;
+                           expected = d.Ujam_native.Native.expected }))
+                  e.Ujam_native.Native.diffs)
+              eqs
+          in
+          Obs.Counter.add m_native_checked (List.length variants);
+          tallied ~checked:(List.length variants) ms
+      | Ok _ -> failwith "native program returned wrong unit count")
+
+(* The native layer stays opt-in: it forks the host toolchain per nest,
+   which is orders of magnitude slower than the analytical layers. *)
+let native ?(drop_copy = false) () =
+  layer "native" Error.Native ~default:false
+    ~render:(fun t ->
+      Some
+        ( (if t.skipped > 0 && t.checked = 0 then
+             Printf.sprintf
+               "native layer: native_skipped (no toolchain, %d nests not compiled)"
+               t.skipped
+           else
+             Printf.sprintf
+               "native layer: %d variants compiled and validated (%d nests skipped)"
+               t.checked t.skipped),
+          [ ("native_checked", t.checked); ("native_skipped", t.skipped) ] ))
+    (native_check ~drop_copy)
+
+let registry = [ recount (); sim; cross_model; verify; cachepred; native () ]
+let all_layers = List.filter (fun l -> l.default) registry
 
 let default_config ?(machine = Presets.alpha) () =
   { n = 200;
@@ -79,230 +250,30 @@ type report = {
   digest_unique : int;
   digest_reused : int;
   fenced : int;
-  sim_checked : int;
-  cachepred_checked : int;
-  verify_checked : int;
-  verify_failed : int;
-  native_checked : int;
-  native_skipped : int;
+  tallies : (layer * tally) list;
   total_mismatches : int;
   unexplained : int;
   failures : failure list;
 }
 
-(* ---- one nest through one layer -------------------------------------- *)
+(* ---- one nest through the configured layers, with shrinking ---------- *)
 
-type layer_result = {
-  lr_mismatches : Mismatch.t list;
-  lr_simulated : int;
-  lr_cachepred : int;  (** hierarchy levels compared by the cachepred layer *)
-  lr_verified : int;
-  lr_native : int;  (** variants validated by the native backend *)
-  lr_native_skipped : int;  (** 1 when the toolchain was unavailable *)
-  lr_error : Error.t option;
-}
-
-let empty_lr =
-  { lr_mismatches = [];
-    lr_simulated = 0;
-    lr_cachepred = 0;
-    lr_verified = 0;
-    lr_native = 0;
-    lr_native_skipped = 0;
-    lr_error = None }
-
-(* The verify layer: materialise every unroll vector of the searched
-   space through the gated pipeline ({!Ujam_analysis.Passes.apply_seq}
-   — the legality gate, the structural transform, and the index-algebra
-   post-condition all run per vector); any diagnostic is a mismatch the
-   tables could never have caught (they never materialise code).  The
-   dependence graph is built once per nest and reused for every
-   vector's legality gate. *)
-let verify_check ~bound ~max_loops ~machine nest =
-  let ctx = Ujam_core.Analysis_ctx.create ~bound ~max_loops ~machine nest in
-  let space = Ujam_core.Analysis_ctx.space ctx in
-  let graph = Ujam_core.Analysis_ctx.graph ctx in
-  let ms = ref [] and checked = ref 0 in
-  Ujam_core.Unroll_space.iter space (fun u ->
-      incr checked;
-      match
-        Ujam_analysis.Passes.apply_seq ~graph nest
-          [ Ujam_ir.Transform.Unroll u ]
-      with
-      | Ok _ -> ()
-      | Error diags ->
-          List.iter
-            (fun (d : Ujam_analysis.Diagnostic.t) ->
-              ms :=
-                Mismatch.make ~nest:(Nest.name nest)
-                  ~machine:machine.Machine.name
-                  (Mismatch.Verify
-                     { u;
-                       rule = d.Ujam_analysis.Diagnostic.rule;
-                       detail = d.Ujam_analysis.Diagnostic.message })
-                :: !ms)
-            diags);
-  (List.rev !ms, !checked)
-
-(* The native layer: lower the original nest plus a deterministic
-   sample of its legalized unroll variants to one compiled program
-   ({!Ujam_native}) and demand that every variant's per-array checksums
-   match the reference interpreter run of that same variant.  A missing
-   toolchain is a skip, never a failure — the analytical layers keep
-   their verdicts. *)
-let native_max_variants = 4
-
-let native_check ?(drop_copy = false) ~cfg ~routine:_ nest =
-  match Ujam_native.Toolchain.find () with
-  | Error _ -> { empty_lr with lr_native_skipped = 1 }
-  | Ok tc ->
-      let { bound; max_loops; machine; seed; _ } = cfg in
-      let ctx = Ujam_core.Analysis_ctx.create ~bound ~max_loops ~machine nest in
-      let space = Ujam_core.Analysis_ctx.space ctx in
-      let graph = Ujam_core.Analysis_ctx.graph ctx in
-      let legal = ref [] in
-      Ujam_core.Unroll_space.iter space (fun u ->
-          if not (Ujam_linalg.Vec.is_zero u) then
-            match
-              Ujam_analysis.Passes.apply_seq ~graph nest
-                [ Ujam_ir.Transform.Unroll u ]
-            with
-            | Ok (nest', _) -> legal := (u, nest') :: !legal
-            | Error _ -> ());
-      let legal = List.rev !legal in
-      (* deterministic, evenly spaced sample: compiling every vector of
-         the space per nest would swamp the run *)
-      let sampled =
-        let n = List.length legal in
-        if n <= native_max_variants then legal
-        else
-          List.filteri
-            (fun i _ ->
-              i * native_max_variants / n
-              <> (i + 1) * native_max_variants / n)
-            legal
-      in
-      let variants =
-        { Ujam_native.Emit.vname = "orig"; nest }
-        :: List.map
-             (fun (u, nest') ->
-               { Ujam_native.Emit.vname = "u=" ^ Ujam_linalg.Vec.to_string u;
-                 nest = nest' })
-             sampled
-      in
-      let spec =
-        { Ujam_native.Emit.uname = Nest.name nest;
-          seed;
-          repeats = 1;
-          variants }
-      in
-      (match Ujam_native.Native.run_units ~drop_last_stmt:drop_copy tc [ spec ] with
-      | Error msg -> failwith msg
-      | Ok [ res ] ->
-          let eqs = Ujam_native.Native.equivalences spec res in
-          let ms =
-            List.concat_map
-              (fun (e : Ujam_native.Native.equivalence) ->
-                List.map
-                  (fun (d : Ujam_native.Native.diff) ->
-                    Mismatch.make ~nest:(Nest.name nest)
-                      ~machine:machine.Machine.name
-                      (Mismatch.Native
-                         { variant = e.Ujam_native.Native.vname;
-                           array_name = d.Ujam_native.Native.array_name;
-                           native = d.Ujam_native.Native.native;
-                           expected = d.Ujam_native.Native.expected }))
-                  e.Ujam_native.Native.diffs)
-              eqs
-          in
-          { empty_lr with
-            lr_mismatches = ms;
-            lr_native = List.length variants }
-      | Ok _ -> failwith "native program returned wrong unit count")
-
-let check_layer ?perturb ?(native_drop_copy = false) ~cfg ~routine layer nest =
-  let { bound; max_loops; machine; _ } = cfg in
-  let guard stage f =
-    match Error.guard ~stage ~routine f with
-    | Ok r -> r
-    | Error e -> { empty_lr with lr_error = Some e }
-  in
-  match layer with
-  | Recount ->
-      guard Error.Tables (fun () ->
-          let ms =
-            Recount.check ~bound ~max_loops ?perturb ~machine nest
-          in
-          { empty_lr with lr_mismatches = ms })
-  | Sim ->
-      guard Error.Sim (fun () ->
-          let o = Simcheck.check ~bound ~max_loops ~machine nest in
-          { empty_lr with
-            lr_mismatches = o.Simcheck.mismatches;
-            lr_simulated = o.Simcheck.simulated })
-  | Cross_model ->
-      guard Error.Search (fun () ->
-          let ms = Crossmodel.check ~bound ~max_loops ~machine nest in
-          { empty_lr with lr_mismatches = ms })
-  | Verify ->
-      guard Error.Transform (fun () ->
-          let ms, checked = verify_check ~bound ~max_loops ~machine nest in
-          { empty_lr with lr_mismatches = ms; lr_verified = checked })
-  | Native ->
-      guard Error.Native (fun () ->
-          native_check ~drop_copy:native_drop_copy ~cfg ~routine nest)
-  | Cachepred ->
-      guard Error.Sim (fun () ->
-          let o = Cachepred.check ~machine nest in
-          { empty_lr with
-            lr_mismatches = o.Cachepred.mismatches;
-            lr_cachepred = o.Cachepred.levels_checked })
+let check_layer cfg ~routine l nest =
+  match Error.guard ~stage:l.stage ~routine (fun () -> l.check cfg nest) with
+  | Ok (ms, t) -> (ms, t, None)
+  | Error e -> ([], zero, Some e)
 
 let unexplained_of ms = List.filter (fun m -> not (Mismatch.is_explained m)) ms
 
-(* ---- one nest through all layers, with shrinking --------------------- *)
-
-type job_result = {
-  jr_simulated : bool;
-  jr_cachepred : bool;
-  jr_verified : int;
-  jr_native : int;
-  jr_native_skipped : int;
-  jr_failure : failure option;
-}
-
-let check_nest ?perturb ?native_drop_copy ~cfg ~routine nest =
+(* The per-layer tallies, aligned with [cfg.layers], and the failure. *)
+let check_nest cfg ~routine nest =
   let results =
-    List.map
-      (fun l ->
-        (l, check_layer ?perturb ?native_drop_copy ~cfg ~routine l nest))
-      cfg.layers
+    List.map (fun l -> (l, check_layer cfg ~routine l nest)) cfg.layers
   in
-  let mismatches = List.concat_map (fun (_, r) -> r.lr_mismatches) results in
-  let error = List.find_map (fun (_, r) -> r.lr_error) results in
-  let simulated =
-    List.exists (fun (_, r) -> r.lr_simulated > 0) results
-  in
-  let cachepred =
-    List.exists (fun (_, r) -> r.lr_cachepred > 0) results
-  in
-  let verified =
-    List.fold_left (fun acc (_, r) -> acc + r.lr_verified) 0 results
-  in
-  let native =
-    List.fold_left (fun acc (_, r) -> acc + r.lr_native) 0 results
-  in
-  let native_skipped =
-    List.fold_left (fun acc (_, r) -> acc + r.lr_native_skipped) 0 results
-  in
-  let bad = unexplained_of mismatches <> [] || error <> None in
-  if not bad then
-    { jr_simulated = simulated;
-      jr_cachepred = cachepred;
-      jr_verified = verified;
-      jr_native = native;
-      jr_native_skipped = native_skipped;
-      jr_failure = None }
+  let tallies = List.map (fun (_, (_, t, _)) -> t) results in
+  let mismatches = List.concat_map (fun (_, (ms, _, _)) -> ms) results in
+  let error = List.find_map (fun (_, (_, _, e)) -> e) results in
+  if unexplained_of mismatches = [] && error = None then (tallies, None)
   else
     let reduced =
       if not cfg.shrink then None
@@ -311,37 +282,35 @@ let check_nest ?perturb ?native_drop_copy ~cfg ~routine nest =
            the same failure only when the original run also crashed (and
            produced no unexplained mismatch — mismatches take priority). *)
         let want_error = error <> None && unexplained_of mismatches = [] in
+        let failed (ms, _, e) =
+          if want_error then e <> None else unexplained_of ms <> []
+        in
         let fail_layers =
-          if want_error then
-            List.filter_map
-              (fun (l, r) -> if r.lr_error <> None then Some l else None)
-              results
-          else
-            List.filter_map
-              (fun (l, r) ->
-                if unexplained_of r.lr_mismatches <> [] then Some l else None)
-              results
+          List.filter_map (fun (l, r) -> if failed r then Some l else None) results
         in
         let still_fails n =
-          List.exists
-            (fun l ->
-              let r = check_layer ?perturb ?native_drop_copy ~cfg ~routine l n in
-              if want_error then r.lr_error <> None
-              else unexplained_of r.lr_mismatches <> [])
-            fail_layers
+          List.exists (fun l -> failed (check_layer cfg ~routine l n)) fail_layers
         in
         Some (Shrink.run ~still_fails nest)
     in
-    { jr_simulated = simulated;
-      jr_cachepred = cachepred;
-      jr_verified = verified;
-      jr_native = native;
-      jr_native_skipped = native_skipped;
-      jr_failure = Some { routine; nest; error; mismatches; reduced } }
+    (tallies, Some { routine; nest; error; mismatches; reduced })
+
+(* Layers the report renders, in registry order: every default layer
+   (zero when not configured) and every configured one; configured
+   layers outside the registry follow in config order. *)
+let reported layers =
+  let find name ls = List.find_opt (fun l -> l.name = name) ls in
+  List.filter_map
+    (fun l ->
+      match find l.name layers with
+      | Some c -> Some c
+      | None -> if l.default then Some l else None)
+    registry
+  @ List.filter (fun c -> find c.name registry = None) layers
 
 (* ---- the run ---------------------------------------------------------- *)
 
-let run ?perturb ?native_drop_copy cfg =
+let run cfg =
   let stats = Generator.stats () in
   let st = Random.State.make [| cfg.seed |] in
   let jobs = ref [] in
@@ -394,11 +363,20 @@ let run ?perturb ?native_drop_copy cfg =
   let results =
     Engine.parallel_map ~domains:cfg.domains
       ~f:(fun ~domain:_ (routine, nest) ->
-        check_nest ?perturb ?native_drop_copy ~cfg ~routine nest)
+        check_nest cfg ~routine nest)
       jobs
   in
-  let failures =
-    Array.to_list results |> List.filter_map (fun r -> r.jr_failure)
+  let failures = Array.to_list results |> List.filter_map snd in
+  let tallies =
+    List.map
+      (fun l ->
+        let sum acc (ts, _) =
+          List.fold_left2
+            (fun acc c t -> if c.name = l.name then add acc t else acc)
+            acc cfg.layers ts
+        in
+        (l, Array.fold_left sum zero results))
+      (reported cfg.layers)
   in
   let total_mismatches =
     List.fold_left (fun acc f -> acc + List.length f.mismatches) 0 failures
@@ -408,31 +386,10 @@ let run ?perturb ?native_drop_copy cfg =
       (fun acc f -> acc + List.length (unexplained_of f.mismatches))
       0 failures
   in
-  let verify_checked =
-    Array.fold_left (fun acc r -> acc + r.jr_verified) 0 results
-  in
-  let native_checked =
-    Array.fold_left (fun acc r -> acc + r.jr_native) 0 results
-  in
-  let native_skipped =
-    Array.fold_left (fun acc r -> acc + r.jr_native_skipped) 0 results
-  in
-  let verify_failed =
-    List.fold_left
-      (fun acc f ->
-        acc
-        + List.length
-            (List.filter (fun m -> Mismatch.layer m = "verify") f.mismatches))
-      0 failures
-  in
   Obs.Counter.add m_nests (Array.length jobs);
   Obs.Counter.add m_mismatches total_mismatches;
   Obs.Counter.add m_unexplained unexplained;
   Obs.Counter.add m_failures (List.length failures);
-  Obs.Counter.add m_verify_checked verify_checked;
-  Obs.Counter.add m_verify_failed verify_failed;
-  Obs.Counter.add m_native_checked native_checked;
-  Obs.Counter.add m_native_skipped native_skipped;
   { config = cfg;
     nests = Array.length jobs;
     routines = !idx;
@@ -444,18 +401,7 @@ let run ?perturb ?native_drop_copy cfg =
     digest_unique = memo_misses1 - memo_misses0;
     digest_reused = memo_hits1 - memo_hits0;
     fenced = stats.Generator.fenced;
-    sim_checked =
-      Array.fold_left
-        (fun acc r -> if r.jr_simulated then acc + 1 else acc)
-        0 results;
-    cachepred_checked =
-      Array.fold_left
-        (fun acc r -> if r.jr_cachepred then acc + 1 else acc)
-        0 results;
-    verify_checked;
-    verify_failed;
-    native_checked;
-    native_skipped;
+    tallies;
     total_mismatches;
     unexplained;
     failures }
@@ -484,23 +430,10 @@ let pp ppf r =
     Format.fprintf ppf
       "recurrent mode: %d of %d emitted nests have a binding safety fence@."
       r.fenced r.nests;
-  Format.fprintf ppf "sim layer: %d nests replayed through the cache model@."
-    r.sim_checked;
-  Format.fprintf ppf
-    "cachepred layer: %d nests checked against the hierarchy simulator@."
-    r.cachepred_checked;
-  Format.fprintf ppf
-    "verify layer: %d unrolled bodies checked, %d rejected@."
-    r.verify_checked r.verify_failed;
-  if List.mem Native c.layers then
-    if r.native_skipped > 0 && r.native_checked = 0 then
-      Format.fprintf ppf
-        "native layer: native_skipped (no toolchain, %d nests not compiled)@."
-        r.native_skipped
-    else
-      Format.fprintf ppf
-        "native layer: %d variants compiled and validated (%d nests skipped)@."
-        r.native_checked r.native_skipped;
+  List.iter
+    (fun (l, t) ->
+      Option.iter (fun (line, _) -> Format.fprintf ppf "%s@." line) (l.render t))
+    r.tallies;
   Format.fprintf ppf "mismatches: %d total, %d unexplained@."
     r.total_mismatches r.unexplained;
   List.iter
@@ -509,19 +442,11 @@ let pp ppf r =
       (match f.error with
       | Some e -> Format.fprintf ppf "  error: %a@." Error.pp e
       | None -> ());
-      let shown, rest =
-        let rec split k = function
-          | [] -> ([], [])
-          | l when k = 0 -> ([], l)
-          | m :: tl ->
-              let a, b = split (k - 1) tl in
-              (m :: a, b)
-        in
-        split 5 f.mismatches
-      in
-      List.iter (fun m -> Format.fprintf ppf "  %a@." Mismatch.pp m) shown;
-      if rest <> [] then
-        Format.fprintf ppf "  ... and %d more@." (List.length rest);
+      List.iteri
+        (fun i m -> if i < 5 then Format.fprintf ppf "  %a@." Mismatch.pp m)
+        f.mismatches;
+      let rest = List.length f.mismatches - 5 in
+      if rest > 0 then Format.fprintf ppf "  ... and %d more@." rest;
       match f.reduced with
       | None -> ()
       | Some n ->
@@ -580,17 +505,13 @@ let to_json r =
            ("digest_unique", Json.Int r.digest_unique);
            ("digest_reused", Json.Int r.digest_reused) ]
        else [])
-    @ [ ("fenced", Json.Int r.fenced);
-      ("sim_checked", Json.Int r.sim_checked);
-      ("cachepred_checked", Json.Int r.cachepred_checked);
-      ("verify_checked", Json.Int r.verify_checked);
-      ("verify_failed", Json.Int r.verify_failed) ]
-    (* native fields appear only when the layer was configured, so the
-       pinned default-run JSON stays byte-stable *)
-    @ (if List.mem Native c.layers then
-         [ ("native_checked", Json.Int r.native_checked);
-           ("native_skipped", Json.Int r.native_skipped) ]
-       else [])
+    @ (("fenced", Json.Int r.fenced)
+      :: List.concat_map
+           (fun (l, t) ->
+             match l.render t with
+             | Some (_, fields) -> List.map (fun (k, v) -> (k, Json.Int v)) fields
+             | None -> [])
+           r.tallies)
     @ [ ("mismatches", Json.Int r.total_mismatches);
       ("unexplained", Json.Int r.unexplained);
       ("ok", Json.Bool (ok r));

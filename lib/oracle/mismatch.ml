@@ -42,15 +42,6 @@ type t = {
 let make ~nest ~machine ?explained kind = { nest; machine; kind; explained }
 let is_explained m = m.explained <> None
 
-let layer m =
-  match m.kind with
-  | Recount _ -> "recount"
-  | Sim_order _ -> "sim"
-  | Model_divergence _ -> "cross-model"
-  | Verify _ -> "verify"
-  | Native _ -> "native"
-  | Cachepred _ -> "cachepred"
-
 let pp_f ppf v =
   if Float.is_integer v && Float.abs v < 1e9 then
     Format.fprintf ppf "%.0f" v

@@ -1,11 +1,12 @@
 (** Typed oracle disagreements.
 
-    Each of the three oracle layers reports its findings in one shape so
-    the fuzz report, the JSON emitter, and the regression tests can treat
-    them uniformly.  A mismatch may carry an [explained] note: the
-    comparison diverged for a documented modelling reason (e.g. the
-    dependence-based strategy is a coarser approximation), so it counts
-    as expected rather than as a table bug. *)
+    Every oracle layer ({!Fuzz.registry}) reports its findings in one
+    shape so the fuzz report, the JSON emitter, and the regression tests
+    can treat them uniformly; each layer has its own [kind].  A mismatch
+    may carry an [explained] note: the comparison diverged for a
+    documented modelling reason (e.g. the dependence-based strategy is a
+    coarser approximation), so it counts as expected rather than as a
+    table bug. *)
 
 open Ujam_linalg
 
@@ -71,10 +72,6 @@ val make :
   nest:string -> machine:string -> ?explained:string -> kind -> t
 
 val is_explained : t -> bool
-
-val layer : t -> string
-(** ["recount"], ["sim"], ["cross-model"], ["verify"], ["native"] or
-    ["cachepred"]. *)
 
 val pp : Format.formatter -> t -> unit
 val to_json : t -> Ujam_engine.Json.t

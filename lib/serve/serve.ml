@@ -45,12 +45,6 @@ let default_config ?(machine = Presets.alpha) () =
     trace_out = None;
     quiet = false }
 
-let machine_of_name = function
-  | "alpha" -> Some Presets.alpha
-  | "hppa" -> Some Presets.hppa
-  | "generic" -> Some (Presets.generic ())
-  | _ -> None
-
 type summary = {
   requests : int;
   ok : int;
@@ -227,12 +221,12 @@ let enqueue_request st conn arrival (req : Protocol.request) =
         match req.Protocol.machine with
         | None -> Ok cfg.machine
         | Some name -> (
-            match machine_of_name name with
+            match Presets.of_name name with
             | Some m -> Ok m
             | None ->
                 Error
-                  (Printf.sprintf
-                     "unknown machine %S (known: alpha, hppa, generic)" name))
+                  (Printf.sprintf "unknown machine %S (known: %s)" name
+                     (String.concat ", " Presets.names)))
       in
       let model_r =
         match req.Protocol.model with

@@ -61,10 +61,6 @@ val default_config : ?machine:Ujam_machine.Machine.t -> unit -> config
     cache 1024 (not persisted), batch 32, timeout 30000 ms, 1 MiB
     lines, no dumps. *)
 
-val machine_of_name : string -> Ujam_machine.Machine.t option
-(** Preset lookup for the request ["machine"] field:
-    ["alpha"], ["hppa"], ["generic"]. *)
-
 type summary = {
   requests : int;  (** request lines consumed, well-formed or not *)
   ok : int;  (** [ok:true] responses written *)

@@ -221,7 +221,7 @@ let test_generated_property () =
 
 (* ---- fault injection: the oracle catches a broken emitter ------------ *)
 
-(* [native_drop_copy] makes the emitter silently drop the last statement
+(* [Fuzz.native ~drop_copy:true] makes the emitter silently drop the last statement
    of every multi-statement body — the classic lost-jammed-copy bug.
    Unrolled variants all have jammed copies, so the native layer must
    flag unexplained mismatches, and the shrinker must hand back a
@@ -233,10 +233,10 @@ let test_injected_emitter_bug () =
         { (Fuzz.default_config ~machine ()) with
           Fuzz.n = 6;
           seed = 43;
-          layers = [ Fuzz.Native ];
+          layers = [ Fuzz.native ~drop_copy:true () ];
           shrink = true }
       in
-      let r = Fuzz.run ~native_drop_copy:true cfg in
+      let r = Fuzz.run cfg in
       Alcotest.(check bool) "injected bug detected" false (Fuzz.ok r);
       Alcotest.(check bool) "unexplained mismatches" true (r.Fuzz.unexplained > 0);
       Alcotest.(check bool)
@@ -245,7 +245,7 @@ let test_injected_emitter_bug () =
            (fun (f : Fuzz.failure) -> f.Fuzz.reduced <> None)
            r.Fuzz.failures);
       (* and the uninjected run over the same nests is clean *)
-      let clean = Fuzz.run cfg in
+      let clean = Fuzz.run { cfg with Fuzz.layers = [ Fuzz.native () ] } in
       Alcotest.(check bool) "clean without injection" true (Fuzz.ok clean))
 
 (* ---- degradation without a toolchain --------------------------------- *)
@@ -262,16 +262,19 @@ let test_skip_without_toolchain () =
     { (Fuzz.default_config ~machine ()) with
       Fuzz.n = 3;
       seed = 7;
-      layers = [ Fuzz.Native ];
+      layers = [ Fuzz.native () ];
       shrink = false }
   in
   let r = Fuzz.run cfg in
   (* whichever way discovery went, a native-only run never crashes and
      accounts for every nest as either checked or skipped *)
   Alcotest.(check bool) "no unexplained failures" true (Fuzz.ok r);
+  let t =
+    snd (List.find (fun (l, _) -> Fuzz.layer_name l = "native") r.Fuzz.tallies)
+  in
   Alcotest.(check int) "every nest accounted for" 3
-    (if r.Fuzz.native_skipped > 0 then r.Fuzz.native_skipped
-     else if r.Fuzz.native_checked > 0 then 3
+    (if t.Fuzz.skipped > 0 then t.Fuzz.skipped
+     else if t.Fuzz.checked > 0 then 3
      else 0)
 
 let suite =

@@ -43,20 +43,24 @@ let test_simcheck_kernel () =
 
 (* ---- clean fuzz run --------------------------------------------------- *)
 
+let tally r name =
+  snd (List.find (fun (l, _) -> Fuzz.layer_name l = name) r.Fuzz.tallies)
+
 let test_clean_run () =
   let cfg = { (Fuzz.default_config ~machine ()) with Fuzz.n = 20; seed = 5 } in
   let r = Fuzz.run cfg in
   Alcotest.(check int) "all requested nests checked" 20 r.Fuzz.nests;
   Alcotest.(check int) "no mismatches" 0 r.Fuzz.total_mismatches;
   Alcotest.(check bool) "report ok" true (Fuzz.ok r);
-  Alcotest.(check bool) "sim layer exercised" true (r.Fuzz.sim_checked > 0)
+  Alcotest.(check bool) "sim layer exercised" true
+    ((tally r "sim").Fuzz.checked > 0)
 
 let test_deterministic () =
   let cfg =
     { (Fuzz.default_config ~machine ()) with
       Fuzz.n = 10;
       seed = 9;
-      layers = [ Fuzz.Recount; Fuzz.Cross_model ] }
+      layers = [ Fuzz.recount (); Fuzz.cross_model ] }
   in
   let render r = Format.asprintf "%a" Fuzz.pp r in
   Alcotest.(check string)
@@ -81,10 +85,10 @@ let test_injected_bug_caught_and_shrunk () =
     { (Fuzz.default_config ~machine ()) with
       Fuzz.n = 12;
       seed = 42;
-      layers = [ Fuzz.Recount ];
+      layers = [ Fuzz.recount ~perturb () ];
       shrink = true }
   in
-  let r = Fuzz.run ~perturb cfg in
+  let r = Fuzz.run cfg in
   Alcotest.(check bool) "bug caught" true (r.Fuzz.unexplained > 0);
   Alcotest.(check bool) "report not ok" true (not (Fuzz.ok r));
   let reduced = List.filter_map (fun f -> f.Fuzz.reduced) r.Fuzz.failures in
@@ -106,6 +110,80 @@ let test_injected_bug_caught_and_shrunk () =
         (Recount.check ~perturb ~machine n
         |> List.exists (fun m -> not (Mismatch.is_explained m))))
     reduced
+
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  go 0
+
+(* ---- a layer defined outside the library ----------------------------- *)
+
+(* Flags every nest with two or more references.  Through [Fuzz.run] it
+   must be counted, rendered under its own name in both formats, and
+   shrunk like a shipped layer: one statement reading one array is the
+   smallest nest it still flags. *)
+let multi_ref =
+  { Fuzz.name = "multi-ref";
+    default = false;
+    stage = Ujam_engine.Error.Transform;
+    check =
+      (fun cfg nest ->
+        let refs = List.length (Nest.refs nest) in
+        let ms =
+          if refs < 2 then []
+          else
+            [ Mismatch.make ~nest:(Nest.name nest)
+                ~machine:cfg.Fuzz.machine.Ujam_machine.Machine.name
+                (Mismatch.Verify
+                   { u = Vec.zero (Nest.depth nest);
+                     rule = "TEST";
+                     detail = Printf.sprintf "%d references" refs }) ]
+        in
+        (ms, { Fuzz.checked = 1; skipped = 0; failed = List.length ms }));
+    render =
+      (fun t ->
+        Some
+          ( Printf.sprintf "multi-ref layer: %d of %d nests flagged" t.Fuzz.failed
+              t.Fuzz.checked,
+            [ ("multi_ref_flagged", t.Fuzz.failed) ] )) }
+
+let test_custom_layer () =
+  let cfg =
+    { (Fuzz.default_config ~machine ()) with
+      Fuzz.n = 6;
+      seed = 42;
+      layers = [ multi_ref ] }
+  in
+  let r = Fuzz.run cfg in
+  let t = tally r "multi-ref" in
+  Alcotest.(check int) "every nest counted" 6 t.Fuzz.checked;
+  Alcotest.(check bool) "nests flagged" true (t.Fuzz.failed > 0);
+  Alcotest.(check bool) "report not ok" false (Fuzz.ok r);
+  let text = Format.asprintf "%a" Fuzz.pp r in
+  let json = Ujam_engine.Json.to_string (Fuzz.to_json r) in
+  List.iter
+    (fun (what, haystack, needle) ->
+      Alcotest.(check bool) (what ^ " mentions " ^ needle) true
+        (contains haystack needle))
+    [ ("text", text, "layers=multi-ref");
+      ("text", text, Printf.sprintf "multi-ref layer: %d of 6 nests flagged" t.Fuzz.failed);
+      ("text", text, "sim layer: 0 nests");
+      ("json", json, Printf.sprintf "\"multi_ref_flagged\":%d" t.Fuzz.failed) ];
+  Alcotest.(check bool) "failures recorded" true (r.Fuzz.failures <> []);
+  List.iter
+    (fun (f : Fuzz.failure) ->
+      match f.Fuzz.reduced with
+      | None -> Alcotest.fail "failure not shrunk"
+      | Some n ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: one statement left" (Nest.name n))
+            1
+            (List.length (Nest.body n));
+          Alcotest.(check int)
+            (Printf.sprintf "%s: two references left" (Nest.name n))
+            2
+            (List.length (Nest.refs n)))
+    r.Fuzz.failures
 
 (* ---- the shrinker on a hand-written predicate ------------------------ *)
 
@@ -151,11 +229,6 @@ let test_shrink_rejects_different_failure () =
   Alcotest.(check string) "unchanged" (Nest.to_string nest)
     (Nest.to_string out)
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  go 0
-
 let test_snippet () =
   let open Ujam_ir.Build in
   let d = 2 in
@@ -190,4 +263,6 @@ let suite =
     Alcotest.test_case "shrink: minimises" `Quick test_shrink_minimises;
     Alcotest.test_case "shrink: different failure" `Quick
       test_shrink_rejects_different_failure;
-    Alcotest.test_case "shrink: snippet + json" `Quick test_snippet ]
+    Alcotest.test_case "shrink: snippet + json" `Quick test_snippet;
+    Alcotest.test_case "fuzz: custom layer reported+shrunk" `Quick
+      test_custom_layer ]

@@ -108,6 +108,43 @@ let test_malformed () =
   in
   ()
 
+(* Machine names come from the one preset table: a hierarchy preset is
+   reachable over the wire, and an unknown name's error lists every
+   name. *)
+let test_machine_names () =
+  let (), _ =
+    with_server (fun path ->
+        let c = Serve.Client.connect path in
+        let ask ~id machine =
+          Serve.Client.request c
+            (req ~id
+               ~params:
+                 [ ("kernel", Json.Str "dmxpy0"); ("n", Json.Int 16);
+                   ("machine", Json.Str machine) ]
+               "optimize")
+        in
+        check_ok ~expect:true (ask ~id:(Json.Int 1) "alpha-mem");
+        let bad = ask ~id:(Json.Int 2) "vax" in
+        check_ok ~expect:false bad;
+        let message =
+          match Json.member "message" (member_exn "error" bad) with
+          | Some (Json.Str m) -> m
+          | _ -> Alcotest.failf "no error message in %s" (Json.to_string bad)
+        in
+        List.iter
+          (fun name ->
+            let quoted = Printf.sprintf " %s" name in
+            let n = String.length quoted in
+            let rec found i =
+              i + n <= String.length message
+              && (String.sub message i n = quoted || found (i + 1))
+            in
+            Alcotest.(check bool) (message ^ " lists " ^ name) true (found 0))
+          Ujam_machine.Presets.names;
+        Serve.Client.close c)
+  in
+  ()
+
 (* Two clients pipelining on one socket: responses come back in request
    order per connection, ids echoed verbatim. *)
 let test_concurrent_clients () =
@@ -248,4 +285,5 @@ let suite =
     Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
     Alcotest.test_case "lru eviction" `Quick test_eviction;
     Alcotest.test_case "repeat is a hit" `Quick test_repeat_hit;
-    Alcotest.test_case "1 vs N domains" `Quick test_domain_identity ]
+    Alcotest.test_case "1 vs N domains" `Quick test_domain_identity;
+    Alcotest.test_case "machine names" `Quick test_machine_names ]
