@@ -33,6 +33,7 @@
 open Ujam_linalg
 open Ujam_core
 open Ujam_engine
+module Json = Ujam_obs.Json
 
 let schema_version = 1
 let bench_generation = 8

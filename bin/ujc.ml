@@ -8,22 +8,28 @@ open Cmdliner
 open Ujam_linalg
 open Ujam_core
 open Ujam_engine
+module Json = Ujam_obs.Json
 module Obs = Ujam_obs.Obs
 
+(* Converters over the one options schema ({!Options}): the lookup and
+   the range check are the daemon's; only the wording is the CLI's. *)
+let options_conv parse check print =
+  let message = function
+    | Options.Unknown { what; value; known } ->
+        `Msg
+          (Printf.sprintf "unknown %s %S (%s)" what value
+             (String.concat "|" known))
+    | Options.Below _ as e -> `Msg (Options.to_string e)
+  in
+  Arg.conv
+    ( (fun s -> Result.bind (parse s) (fun v -> Result.map_error message (check v))),
+      print )
+
+let int_conv check = options_conv (Arg.conv_parser Arg.int) check Format.pp_print_int
+
 let machine_conv =
-  let parse s =
-    match Ujam_machine.Presets.of_name s with
-    | Some m -> Ok m
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown machine %S (%s)" s
-               (String.concat "|" Ujam_machine.Presets.names)))
-  in
-  let print ppf (m : Ujam_machine.Machine.t) =
-    Format.pp_print_string ppf m.Ujam_machine.Machine.name
-  in
-  Arg.conv (parse, print)
+  options_conv Result.ok Options.machine (fun ppf (m : Ujam_machine.Machine.t) ->
+      Format.pp_print_string ppf m.Ujam_machine.Machine.name)
 
 let machine_arg =
   Arg.(
@@ -37,9 +43,10 @@ let machine_arg =
 let size_arg =
   Arg.(value & opt (some int) None & info [ "n"; "size" ] ~docv:"N" ~doc:"Problem size.")
 
-let bound_arg =
+let bound_arg default =
   Arg.(
-    value & opt int 8
+    value
+    & opt (int_conv Options.bound) default
     & info [ "b"; "bound" ] ~docv:"B" ~doc:"Unroll-space bound per loop.")
 
 let cache_arg =
@@ -50,29 +57,23 @@ let cache_arg =
 let level_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (int_conv Options.level)) None
     & info [ "level" ] ~docv:"K"
         ~doc:"Hierarchy level (1-based).  $(b,optimize) prices the balance at             level K (the ugs-lK model); $(b,lint)/$(b,explain) restrict the             predicted miss profile to level K.")
 
-let model_conv =
-  let parse s =
-    match Model.find s with
-    | Some m -> Ok m
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown model %S (%s)" s
-               (String.concat "|" Model.names)))
-  in
-  let print ppf m = Format.pp_print_string ppf (Model.name m) in
-  Arg.conv (parse, print)
-
 let model_arg =
+  let model_conv =
+    options_conv Result.ok Options.model (fun ppf m ->
+        Format.pp_print_string ppf (Model.name m))
+  in
   Arg.(
     value
     & opt model_conv (module Model.Ugs_tables : Model.MODEL)
     & info [ "model" ] ~docv:"MODEL"
-        ~doc:"Selection strategy: ugs, dep, brute, no-cache, ugs-l2.")
+        ~doc:
+          (Printf.sprintf
+             "Selection strategy: %s, or ugs-lK to price the balance at             hierarchy level K."
+             (String.concat ", " Model.names)))
 
 let domains_arg =
   Arg.(
@@ -103,9 +104,15 @@ let timings_arg =
     & info [ "timings" ]
         ~doc:"Report per-stage analysis timings (graph/tables/search/sim).")
 
-(* --no-cache is sugar for the no-cache strategy on engine-backed paths. *)
-let effective_model no_cache model =
-  if no_cache then (module Model.No_cache : Model.MODEL) else model
+(* The strategy on engine-backed paths: --level K is sugar for --model
+   ugs-lK and --no-cache for --model no-cache, in that precedence. *)
+let model_term ?(level = Term.const None) () =
+  let pick no_cache level model =
+    match level with
+    | Some k -> Model.at_level k
+    | None -> if no_cache then (module Model.No_cache : Model.MODEL) else model
+  in
+  Term.(const pick $ cache_arg $ level $ model_arg)
 
 (* A Table-2 kernel by name, else an extra kernel wrapped as an entry. *)
 let find_kernel s =
@@ -269,7 +276,7 @@ let tables_cmd =
   in
   Cmd.v
     (Cmd.info "tables" ~doc:"Print the precomputed unroll tables of a kernel.")
-    Term.(const run $ kernel_arg $ size_arg $ bound_arg)
+    Term.(const run $ kernel_arg $ size_arg $ bound_arg 8)
 
 let print_corpus_report ~json ~timings report =
   if json then print_endline (Json.to_string (Engine.to_json ~timings report))
@@ -303,13 +310,8 @@ let optimize_cmd =
       & info [ "native-check" ]
           ~doc:"After optimizing, compile and run the original nest and the               chosen unroll with the host OCaml toolchain: validate both               against the reference interpreter and measure the actual               speedup over (1,...,1).  Exits 2 when no toolchain is on               PATH, 1 when the compiled run diverges from the               interpreter.")
   in
-  let run e_opt n machine bound no_cache model all domains json timings seq
-      check native_check level =
-    let model =
-      match level with
-      | Some k -> Model.at_level k
-      | None -> effective_model no_cache model
-    in
+  let run e_opt n machine bound model all domains json timings seq check
+      native_check =
     let tc_opt =
       if not native_check then None
       else
@@ -412,9 +414,9 @@ let optimize_cmd =
   Cmd.v
     (Cmd.info "optimize"
        ~doc:"Choose unroll amounts, transform, and scalar-replace a kernel              (or batch-optimize the whole catalogue with $(b,--all)).")
-    Term.(const run $ kernel_opt_arg $ size_arg $ machine_arg $ bound_arg
-          $ cache_arg $ model_arg $ all_flag $ domains_arg $ json_arg
-          $ timings_arg $ seq_arg $ check_arg $ native_check_flag $ level_arg)
+    Term.(const run $ kernel_opt_arg $ size_arg $ machine_arg $ bound_arg 8
+          $ model_term ~level:level_arg () $ all_flag $ domains_arg $ json_arg
+          $ timings_arg $ seq_arg $ check_arg $ native_check_flag)
 
 let simulate_cmd =
   let run e n machine bound no_cache =
@@ -431,7 +433,7 @@ let simulate_cmd =
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Simulate a kernel before and after optimization.")
-    Term.(const run $ kernel_arg $ size_arg $ machine_arg $ bound_arg $ cache_arg)
+    Term.(const run $ kernel_arg $ size_arg $ machine_arg $ bound_arg 8 $ cache_arg)
 
 let file_arg =
   Arg.(
@@ -493,28 +495,8 @@ let compile_cmd =
   Cmd.v
     (Cmd.info "compile"
        ~doc:"Optimize a loop nest read from a file (parse, permute,              unroll-and-jam, scalar replace).")
-    Term.(const run $ file_arg $ machine_arg $ bound_arg $ cache_arg $ permute_flag)
-
-let fortran_cmd =
-  let run e n machine bound no_cache transform =
-    let nest = build e n in
-    let out =
-      if transform then begin
-        let r = Driver.optimize ~bound ~cache:(not no_cache) ~machine nest in
-        Scalar_replace.apply r.Driver.transformed r.Driver.plan
-      end
-      else nest
-    in
-    print_string (Ujam_sim.Codegen.to_program out)
-  in
-  let transform_flag =
-    Arg.(value & flag & info [ "transform" ] ~doc:"Emit the optimized loop.")
-  in
-  Cmd.v
-    (Cmd.info "fortran"
-       ~doc:"Emit a runnable Fortran 77 program for a kernel (optionally              after optimization).")
-    Term.(const run $ kernel_arg $ size_arg $ machine_arg $ bound_arg $ cache_arg
-          $ transform_flag)
+    Term.(const run $ file_arg $ machine_arg $ bound_arg 8 $ cache_arg
+          $ permute_flag)
 
 let graph_cmd =
   let dot_flag =
@@ -561,7 +543,7 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify"
        ~doc:"Interpret a kernel before and after the full pipeline              (unroll-and-jam, scalar replacement, chain priming) and              compare the results element by element.")
-    Term.(const run $ kernel_arg $ size_arg $ machine_arg $ bound_arg $ cache_arg)
+    Term.(const run $ kernel_arg $ size_arg $ machine_arg $ bound_arg 8 $ cache_arg)
 
 let corpus_cmd =
   let count_arg =
@@ -573,25 +555,14 @@ let corpus_cmd =
       & info [ "stats" ]
           ~doc:"Print input-dependence statistics (Table 1) instead of               running the optimization pipeline.")
   in
-  let corpus_bound_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "b"; "bound" ] ~docv:"B" ~doc:"Unroll-space bound per loop.")
-  in
   let recurrent_flag =
     Arg.(
       value & flag
       & info [ "recurrent" ]
           ~doc:"Generate fence-binding recurrence nests (anti-diagonal and               cross-statement) instead of the corpus mix; combine with               $(b,--seq) to exercise the sequence legalizer.")
   in
-  let dedup_flag =
-    Arg.(
-      value & flag
-      & info [ "dedup" ]
-          ~doc:"Analyze each canonically distinct nest once (content hash               over alpha-renamed, commutatively sorted structure) and               replay the outcome for its duplicates.")
-  in
-  let run count seed machine bound no_cache model domains json timings stats
-      seq recurrent dedup check =
+  let run count seed machine bound model domains json timings stats seq
+      recurrent check =
     let count = max 0 count in
     let routines =
       Ujam_workload.Generator.corpus ~seed ~recurrent ~count ()
@@ -600,9 +571,8 @@ let corpus_cmd =
       Format.printf "%a@." Ujam_workload.Corpus.pp
         (Ujam_workload.Corpus.measure routines)
     else begin
-      let model = effective_model no_cache model in
       let report =
-        Engine.run_corpus ~domains ~bound ~model ~seq ~dedup ~machine routines
+        Engine.run_corpus ~domains ~bound ~model ~seq ~machine routines
       in
       print_corpus_report ~json ~timings report;
       if check && report.Engine.failed > 0 then exit 1
@@ -611,9 +581,9 @@ let corpus_cmd =
   Cmd.v
     (Cmd.info "corpus"
        ~doc:"Run the selection pipeline over a synthetic corpus              (per-routine reports; $(b,--stats) for the Table-1              input-dependence statistics).")
-    Term.(const run $ count_arg $ seed_arg $ machine_arg $ corpus_bound_arg
-          $ cache_arg $ model_arg $ domains_arg $ json_arg $ timings_arg
-          $ stats_flag $ seq_arg $ recurrent_flag $ dedup_flag $ check_arg)
+    Term.(const run $ count_arg $ seed_arg $ machine_arg $ bound_arg 4
+          $ model_term () $ domains_arg $ json_arg $ timings_arg $ stats_flag
+          $ seq_arg $ recurrent_flag $ check_arg)
 
 let fuzz_cmd =
   let open Ujam_oracle in
@@ -627,11 +597,6 @@ let fuzz_cmd =
       value & opt int 3
       & info [ "max-depth" ] ~docv:"D"
           ~doc:"Skip generated nests deeper than $(docv) loops.")
-  in
-  let fuzz_bound_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "b"; "bound" ] ~docv:"B" ~doc:"Unroll-space bound per loop.")
   in
   let deep_flag =
     Arg.(
@@ -715,7 +680,7 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:"Differential oracle: fuzz the UGS tables against materialized              unrolls, the cache simulator, and the other selection              strategies; shrink any failure to a minimal reproducer.")
-    Term.(const run $ n_arg $ seed_arg $ max_depth_arg $ fuzz_bound_arg
+    Term.(const run $ n_arg $ seed_arg $ max_depth_arg $ bound_arg 4
           $ machine_arg $ domains_arg $ layers_arg $ native_flag $ deep_flag
           $ shrink_flag $ recurrent_flag $ dedup_flag $ json_arg)
 
@@ -842,7 +807,7 @@ let emit_cmd =
   Cmd.v
     (Cmd.info "emit"
        ~doc:"Lower a nest to a standalone OCaml program over flat float              arrays (optionally with the engine-chosen unroll variant),              and with $(b,--run) compile, execute, and check it against              the reference interpreter.")
-    Term.(const run $ target_req $ size_arg $ machine_arg $ bound_arg
+    Term.(const run $ target_req $ size_arg $ machine_arg $ bound_arg 8
           $ cache_arg $ out_arg $ run_flag $ transform_flag $ repeats_arg
           $ emit_seed_arg)
 
@@ -866,18 +831,11 @@ let lint_cmd =
           ~doc:"Only report these rule ids (e.g. UJ005,UJ008).")
   in
   let run target all fuzz seed n machine bound json rules level =
-    (match rules with
-    | None -> ()
-    | Some ids ->
-        List.iter
-          (fun id ->
-            if not (List.exists (fun (r, _, _) -> r = id) Lint.rules) then begin
-              Format.eprintf "ujc lint: unknown rule id %S (known: %s)@." id
-                (String.concat ", "
-                   (List.map (fun (r, _, _) -> r) Lint.rules));
-              exit 2
-            end)
-          ids);
+    (match Option.map Options.rules rules with
+    | Some (Error e) ->
+        Format.eprintf "ujc lint: %s@." (Options.to_string e);
+        exit 2
+    | None | Some (Ok _) -> ());
     let lint_nest nest =
       (Ujam_ir.Nest.name nest, Lint.run ?rules ?level ~bound ~machine nest)
     in
@@ -952,7 +910,7 @@ let lint_cmd =
     (Cmd.info "lint"
        ~doc:"Run the rule-based static analyzer over a kernel, a loop-nest              file, the whole catalogue ($(b,--all)), or generated nests              ($(b,--fuzz)); exit 1 on any Error-severity diagnostic.")
     Term.(const run $ target_arg $ all_flag $ fuzz_arg $ seed_arg $ size_arg
-          $ machine_arg $ bound_arg $ json_arg $ rules_arg $ level_arg)
+          $ machine_arg $ bound_arg 8 $ json_arg $ rules_arg $ level_arg)
 
 let explain_cmd =
   let open Ujam_analysis in
@@ -965,7 +923,7 @@ let explain_cmd =
   Cmd.v
     (Cmd.info "explain"
        ~doc:"Explain which selection path applies to a nest and why: the              supported-class verdict, legality caps, search-box clamping,              the monotonicity guard, what the cache term changed, and              ($(b,--seq)) the legalizing transformation sequence.")
-    Term.(const run $ target_req $ size_arg $ machine_arg $ bound_arg
+    Term.(const run $ target_req $ size_arg $ machine_arg $ bound_arg 8
           $ json_arg $ seq_arg $ level_arg)
 
 let dot_cmd =
@@ -1099,11 +1057,6 @@ let serve_cmd =
       & info [ "smoke" ] ~docv:"N"
           ~doc:"Self-drive: start a daemon on a fresh temp socket, replay a               deterministic mixed workload of $(docv) requests over two               interleaved clients (repeats, malformed, unsupported,               oversized and timeout probes included), and report health.")
   in
-  let serve_bound_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "b"; "bound" ] ~docv:"B" ~doc:"Default unroll-space bound per loop.")
-  in
   let max_loops_arg =
     Arg.(
       value & opt int 2
@@ -1157,10 +1110,9 @@ let serve_cmd =
       value & flag
       & info [ "quiet" ] ~doc:"Suppress the stderr lifecycle summary.")
   in
-  let run machine bound max_loops no_cache model seq domains socket stdio smoke
+  let run machine bound max_loops model seq domains socket stdio smoke
       cache_size cache_file batch timeout_ms max_request_bytes metrics_out
       trace_out quiet =
-    let model = effective_model no_cache model in
     match smoke with
     | Some n ->
         let r = Serve.smoke ~requests:(max 1 n) ~domains () in
@@ -1187,8 +1139,8 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the persistent optimization service: line-delimited JSON              requests (optimize, explain, lint, metrics, ping, shutdown)              over a Unix socket and/or stdio, answered from a              content-addressed result cache and a Domain worker pool.")
-    Term.(const run $ machine_arg $ serve_bound_arg $ max_loops_arg $ cache_arg
-          $ model_arg $ seq_arg $ domains_arg $ socket_arg $ stdio_flag
+    Term.(const run $ machine_arg $ bound_arg 4 $ max_loops_arg $ model_term ()
+          $ seq_arg $ domains_arg $ socket_arg $ stdio_flag
           $ smoke_arg $ cache_size_arg $ cache_file_arg $ batch_arg
           $ timeout_arg $ max_bytes_arg $ metrics_out_arg $ trace_out_arg
           $ quiet_flag)
@@ -1201,7 +1153,7 @@ let () =
   let remap argv = Array.map (fun a -> if a = "--n" then "-n" else a) argv in
   let cmds =
     [ list_cmd; show_cmd; analyze_cmd; tables_cmd; optimize_cmd; simulate_cmd;
-      compile_cmd; fortran_cmd; verify_cmd; graph_cmd; corpus_cmd; fuzz_cmd;
+      compile_cmd; verify_cmd; graph_cmd; corpus_cmd; fuzz_cmd;
       emit_cmd; lint_cmd; explain_cmd; dot_cmd; trace_cmd; serve_cmd ]
   in
   let group = Cmd.group info cmds in

@@ -2,6 +2,7 @@ open Ujam_linalg
 open Ujam_ir
 open Ujam_core
 module Obs = Ujam_obs.Obs
+module Json = Ujam_obs.Json
 module Diagnostic = Ujam_analysis.Diagnostic
 
 (* Engine metrics: no-ops until the observability sink is enabled. *)
@@ -43,7 +44,6 @@ type corpus_report = {
   routines : routine_report array;
   ok : int;
   failed : int;
-  deduped : int;
   timings : Analysis_ctx.timings;
   elapsed_s : float;
 }
@@ -212,23 +212,6 @@ let analyze_into ?into ?(bound = 4) ?(max_loops = 2) ?(model = default_model)
 let analyze ?bound ?max_loops ?model ?seq ~machine ?(routine = "<nest>") nest =
   analyze_into ?bound ?max_loops ?model ?seq ~machine ~routine nest
 
-let analyze_cached ~cache ?(op = "optimize") ?(bound = 4) ?(max_loops = 2)
-    ?(model = default_model) ?(seq = false) ~machine ?(routine = "<nest>") nest
-    =
-  let module M = (val model : Model.MODEL) in
-  let key =
-    Result_cache.fingerprint ~op ~machine ~bound ~max_loops ~model:M.name ~seq
-      nest
-  in
-  match Result_cache.find cache key with
-  | Some outcome -> (outcome_with_name ~routine nest outcome, true)
-  | None ->
-      let outcome =
-        analyze_into ~bound ~max_loops ~model ~seq ~machine ~routine nest
-      in
-      Result_cache.store cache key outcome;
-      (outcome, false)
-
 (* ------------------------------------------------------------------ *)
 (* Deterministic parallel work queue: the slot-ordered atomic queue now
    lives in core ([Par], so [Balance.prepare] can use it too); the
@@ -250,7 +233,7 @@ let parallel_map ?(domains = 1) ~f jobs =
     ~f jobs
 
 let run_corpus ?(domains = 1) ?(bound = 4) ?(max_loops = 2)
-    ?(model = default_model) ?seq ?(dedup = false) ~machine
+    ?(model = default_model) ?seq ~machine
     (routines : Ujam_workload.Generator.routine list) =
   let module M = (val model : Model.MODEL) in
   let jobs = Array.of_list routines in
@@ -258,88 +241,31 @@ let run_corpus ?(domains = 1) ?(bound = 4) ?(max_loops = 2)
     Array.init (max 1 domains) (fun _ -> Analysis_ctx.zero_timings ())
   in
   let t0 = Unix.gettimeofday () in
-  let run_direct () =
-    let domains = clamp_domains domains (Array.length jobs) in
-    ( domains,
-      0,
-      Obs.Span.with_ "corpus" (fun () ->
-          parallel_map ~domains
-            ~f:(fun ~domain (r : Ujam_workload.Generator.routine) ->
-              let work () =
-                { routine = r.Ujam_workload.Generator.name;
-                  nests =
-                    List.map
-                      (fun nest ->
-                        analyze_into ~into:per_domain.(domain) ~bound
-                          ~max_loops ~model ?seq ~machine
-                          ~routine:r.Ujam_workload.Generator.name nest)
-                      r.Ujam_workload.Generator.nests }
-              in
-              if not (Obs.enabled ()) then work ()
-              else
-                Obs.Span.with_ r.Ujam_workload.Generator.name (fun () ->
-                    let rt0 = Unix.gettimeofday () in
-                    let report = work () in
-                    Obs.Histogram.record h_routine
-                      (Unix.gettimeofday () -. rt0);
-                    report))
-            jobs) )
+  let domains = clamp_domains domains (Array.length jobs) in
+  let out =
+    Obs.Span.with_ "corpus" (fun () ->
+        parallel_map ~domains
+          ~f:(fun ~domain (r : Ujam_workload.Generator.routine) ->
+            let work () =
+              { routine = r.Ujam_workload.Generator.name;
+                nests =
+                  List.map
+                    (fun nest ->
+                      analyze_into ~into:per_domain.(domain) ~bound
+                        ~max_loops ~model ?seq ~machine
+                        ~routine:r.Ujam_workload.Generator.name nest)
+                    r.Ujam_workload.Generator.nests }
+            in
+            if not (Obs.enabled ()) then work ()
+            else
+              Obs.Span.with_ r.Ujam_workload.Generator.name (fun () ->
+                  let rt0 = Unix.gettimeofday () in
+                  let report = work () in
+                  Obs.Histogram.record h_routine
+                    (Unix.gettimeofday () -. rt0);
+                  report))
+          jobs)
   in
-  (* Dedup: analyze one representative per canonical class, then give
-     every duplicate slot a copy of its class outcome with the slot's
-     own nest/routine names patched back in — the rendered report keeps
-     the corpus shape while the analysis runs once per distinct
-     problem. *)
-  let run_dedup () =
-    (* One digest per nest: the classification pass records each
-       slot's class index alongside the nest, so the patch-back pass
-       below never re-digests (the digest itself is memoized for
-       consed nests, but duplicates here may be distinct objects). *)
-    let index = Hashtbl.create 64 in
-    let uniq = ref [] and n_uniq = ref 0 and total = ref 0 in
-    let slotted =
-      Array.map
-        (fun (r : Ujam_workload.Generator.routine) ->
-          List.map
-            (fun nest ->
-              incr total;
-              let d = Ujam_ir.Canon.digest nest in
-              match Hashtbl.find_opt index d with
-              | Some slot -> (nest, slot)
-              | None ->
-                  let slot = !n_uniq in
-                  Hashtbl.add index d slot;
-                  uniq := (r.Ujam_workload.Generator.name, nest) :: !uniq;
-                  incr n_uniq;
-                  (nest, slot))
-            r.Ujam_workload.Generator.nests)
-        jobs
-    in
-    let uniq = Array.of_list (List.rev !uniq) in
-    let domains = clamp_domains domains (Array.length uniq) in
-    let results =
-      Obs.Span.with_ "corpus" (fun () ->
-          parallel_map ~domains
-            ~f:(fun ~domain (routine, nest) ->
-              analyze_into ~into:per_domain.(domain) ~bound ~max_loops ~model
-                ?seq ~machine ~routine nest)
-            uniq)
-    in
-    let out =
-      Array.map2
-        (fun (r : Ujam_workload.Generator.routine) slots ->
-          { routine = r.Ujam_workload.Generator.name;
-            nests =
-              List.map
-                (fun (nest, slot) ->
-                  outcome_with_name ~routine:r.Ujam_workload.Generator.name
-                    nest results.(slot))
-                slots })
-        jobs slotted
-    in
-    (domains, !total - Array.length uniq, out)
-  in
-  let domains, deduped, out = if dedup then run_dedup () else run_direct () in
   let elapsed_s = Unix.gettimeofday () -. t0 in
   let timings = Analysis_ctx.zero_timings () in
   Array.iter (add_timings timings) per_domain;
@@ -351,7 +277,7 @@ let run_corpus ?(domains = 1) ?(bound = 4) ?(max_loops = 2)
         r.nests)
     out;
   { model = M.name; domains; bound; routines = out; ok = !ok; failed = !failed;
-    deduped; timings; elapsed_s }
+    timings; elapsed_s }
 
 let routines_of_catalogue ?n () =
   List.map
@@ -396,11 +322,8 @@ let pp_routine ppf r =
 let pp ppf report =
   Format.fprintf ppf "@[<v>";
   Array.iter (fun r -> pp_routine ppf r) report.routines;
-  Format.fprintf ppf "corpus: %d routines, %d nests ok, %d failed%s (model %s)@]"
-    (Array.length report.routines) report.ok report.failed
-    (if report.deduped > 0 then Printf.sprintf ", %d deduped" report.deduped
-     else "")
-    report.model
+  Format.fprintf ppf "corpus: %d routines, %d nests ok, %d failed (model %s)@]"
+    (Array.length report.routines) report.ok report.failed report.model
 
 let pp_timings ppf report =
   Format.fprintf ppf "stages: %a; wall %.3fs (%d domains)"
@@ -416,7 +339,7 @@ let nest_outcome_to_json = function
       Json.Obj
         ([ ("nest", Json.Str r.nest_name);
           ("model", Json.Str r.model);
-          ("u", Json.of_vec r.u);
+          ("u", Json.ints (Vec.to_list r.u));
           ("balance_before", Json.Float r.balance_before);
           ("balance_after", Json.Float r.balance_after);
           ("objective", Json.Float r.objective);
@@ -467,7 +390,6 @@ let to_json ?(timings = false) report =
        Json.List (Array.to_list (Array.map routine_to_json report.routines)));
       ("ok", Json.Int report.ok);
       ("failed", Json.Int report.failed) ]
-    @ if report.deduped > 0 then [ ("deduped", Json.Int report.deduped) ] else []
   in
   let extra =
     if timings then

@@ -44,10 +44,6 @@ type corpus_report = {
   routines : routine_report array;  (** input order, one slot per routine *)
   ok : int;
   failed : int;
-  deduped : int;
-      (** nests answered by copying a canonical-class representative's
-          outcome instead of re-analyzing (0 unless [~dedup:true]);
-          omitted from {!pp}/{!to_json} when 0 *)
   timings : Ujam_core.Analysis_ctx.timings;  (** summed per-stage counters *)
   elapsed_s : float;
 }
@@ -68,25 +64,6 @@ val analyze :
     runs on the legalized nest and the report carries the sequence plus
     its [UJ026] certificate.  Never raises on unsupported input: the
     outcome carries a typed {!Error.t} instead. *)
-
-val analyze_cached :
-  cache:nest_outcome Result_cache.t ->
-  ?op:string ->
-  ?bound:int ->
-  ?max_loops:int ->
-  ?model:(module Model.MODEL) ->
-  ?seq:bool ->
-  machine:Ujam_machine.Machine.t ->
-  ?routine:string ->
-  Ujam_ir.Nest.t ->
-  nest_outcome * bool
-(** {!analyze} behind a {!Result_cache}: the outcome plus whether it was
-    served from the cache.  The key is {!Result_cache.fingerprint} of
-    the full option tuple, so hits are exact re-asks of one problem
-    (possibly under another nest name — the returned report and any
-    error record carry {e this} call's [routine]/nest name, making the
-    hit and miss paths render identically).  Not thread-safe: confine
-    one cache to one thread of control. *)
 
 val memo_clear : unit -> unit
 (** Empty the process-wide outcome memo.  Every analysis entry point
@@ -114,7 +91,6 @@ val run_corpus :
   ?max_loops:int ->
   ?model:(module Model.MODEL) ->
   ?seq:bool ->
-  ?dedup:bool ->
   machine:Ujam_machine.Machine.t ->
   Ujam_workload.Generator.routine list ->
   corpus_report
@@ -122,10 +98,8 @@ val run_corpus :
     Results are slotted by input index, so the rendered report is
     independent of the domain count; the timing counters are the only
     run-dependent fields and are excluded from {!pp}/{!to_json} unless
-    requested.  With [~dedup:true], nests sharing a
-    {!Ujam_ir.Canon.digest} are analyzed once — duplicates receive the
-    representative's outcome under their own names, and the report's
-    [deduped] field counts the skipped analyses. *)
+    requested.  Repeated clean problems are answered from the
+    process-wide outcome memo (see {!memo_clear}). *)
 
 val routines_of_catalogue :
   ?n:int -> unit -> Ujam_workload.Generator.routine list
@@ -136,5 +110,5 @@ val pp_nest_outcome : Format.formatter -> nest_outcome -> unit
 val pp_timings : Format.formatter -> corpus_report -> unit
 val to_string : corpus_report -> string
 
-val nest_outcome_to_json : nest_outcome -> Json.t
-val to_json : ?timings:bool -> corpus_report -> Json.t
+val nest_outcome_to_json : nest_outcome -> Ujam_obs.Json.t
+val to_json : ?timings:bool -> corpus_report -> Ujam_obs.Json.t

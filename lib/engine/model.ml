@@ -129,5 +129,9 @@ let find s =
     | "ugs-l2" | "l2" -> Some "ugs-l2"
     | _ -> None
   in
-  Option.bind canonical (fun c ->
-      List.find_opt (fun (module M : MODEL) -> String.equal M.name c) all)
+  match canonical with
+  | Some c -> List.find_opt (fun (module M : MODEL) -> String.equal M.name c) all
+  | None -> (
+      match Scanf.sscanf_opt s "ugs-l%u%!" Fun.id with
+      | Some k when k >= 1 -> Some (at_level k)
+      | _ -> None)

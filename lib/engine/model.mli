@@ -56,7 +56,8 @@ val names : string list
 
 val find : string -> (module MODEL) option
 (** Look a strategy up by name or alias ("ugs", "dep", "brute",
-    "no-cache", ...). *)
+    "no-cache", ...), or as ["ugs-l<K>"] for any level [K >= 1]
+    ({!at_level}). *)
 
 val choice_of_metrics :
   machine:Ujam_machine.Machine.t ->

@@ -1,5 +1,6 @@
 open Ujam_ir
 open Ujam_engine
+module Json = Ujam_obs.Json
 module Interp = Ujam_sim.Interp
 module Obs = Ujam_obs.Obs
 
@@ -244,7 +245,7 @@ let check_choice ?(repeats = 3) ?(seed = Interp.default_seed) ?tol tc
 let check_choice_to_json c =
   Json.Obj
     [ ("kernel", Json.Str c.name);
-      ("u", Json.of_vec c.u);
+      ("u", Json.ints (Ujam_linalg.Vec.to_list c.u));
       ("clamped", Json.Bool c.clamped);
       ("equivalent", Json.Bool c.equivalent);
       ("max_rel_err", Json.Float c.max_rel_err);

@@ -76,4 +76,4 @@ val check_choice :
     tables promised.  All failures (no usable transform, compile error,
     runtime error) are typed [Native]-stage errors. *)
 
-val check_choice_to_json : choice_check -> Ujam_engine.Json.t
+val check_choice_to_json : choice_check -> Ujam_obs.Json.t

@@ -257,3 +257,5 @@ let to_float_opt = function
   | Float f -> Some f
   | Int i -> Some (float_of_int i)
   | _ -> None
+
+let ints l = List (List.map (fun i -> Int i) l)

@@ -27,3 +27,6 @@ val member : string -> t -> t option
 
 val to_float_opt : t -> float option
 (** Numeric coercion: [Float] as-is, [Int] widened, otherwise [None]. *)
+
+val ints : int list -> t
+(** [List] of [Int]s — unroll vectors and level lists. *)

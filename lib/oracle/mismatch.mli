@@ -74,4 +74,4 @@ val make :
 val is_explained : t -> bool
 
 val pp : Format.formatter -> t -> unit
-val to_json : t -> Ujam_engine.Json.t
+val to_json : t -> Ujam_obs.Json.t

@@ -1,5 +1,5 @@
 open Ujam_ir
-open Ujam_engine
+module Json = Ujam_obs.Json
 
 (* ---- candidate rewrites ---------------------------------------------- *)
 

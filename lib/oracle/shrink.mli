@@ -25,4 +25,4 @@ val to_snippet : Ujam_ir.Nest.t -> string
 (** A compilable OCaml expression of type [Ujam_ir.Nest.t] over the
     {!Ujam_ir.Build} combinators. *)
 
-val to_json : Ujam_ir.Nest.t -> Ujam_engine.Json.t
+val to_json : Ujam_ir.Nest.t -> Ujam_obs.Json.t

@@ -1,4 +1,4 @@
-module Json = Ujam_engine.Json
+module Json = Ujam_obs.Json
 
 type method_ = Optimize | Explain | Lint | Metrics | Ping | Shutdown
 
@@ -25,12 +25,7 @@ type request = {
   meth : method_;
   name : string option;
   source : source option;
-  machine : string option;
-  bound : int option;
-  max_loops : int option;
-  model : string option;
-  seq : bool option;
-  rules : string list option;
+  options : Ujam_engine.Options.overrides;
   timeout_ms : int option;
 }
 
@@ -127,8 +122,13 @@ let request_of_json json =
       let* rules = str_list_field "rules" params in
       let* timeout_ms = int_field "timeout_ms" params in
       Ok
-        { id; meth; name; source; machine; bound; max_loops; model; seq;
-          rules; timeout_ms }
+        { id;
+          meth;
+          name;
+          source;
+          options =
+            { Ujam_engine.Options.machine; bound; max_loops; model; seq; rules };
+          timeout_ms }
   | _ -> Error "request must be a JSON object"
 
 (* ---- encoding -------------------------------------------------------- *)

@@ -15,9 +15,15 @@
     ["nest"] source or a catalogue ["kernel"] with optional ["n"]),
     plus [ping], [metrics] (live registry dump) and [shutdown] (drain
     and stop).  Analysis params mirror the CLI flags: ["machine"]
-    (preset name), ["bound"], ["max_loops"], ["model"], ["seq"],
-    ["rules"] (lint id filter), ["timeout_ms"], ["name"] (display
-    name).  Unset params inherit the daemon's command-line defaults.
+    (preset name), ["bound"], ["max_loops"], ["model"] (a
+    {!Ujam_engine.Model.names} entry, or ["ugs-l<K>"] to price the
+    balance at hierarchy level [K] like [ujc optimize --level K]),
+    ["seq"], ["rules"] (lint id filter), ["timeout_ms"], ["name"]
+    (display name).  Unset params inherit the daemon's command-line
+    defaults; they decode into {!Ujam_engine.Options.overrides} and
+    resolve through {!Ujam_engine.Options.resolve}, so an unknown name
+    or an out-of-range value (a negative ["bound"], an unknown rule
+    id) is a [protocol] error that is never cached.
 
     Responses are [{"id":..,"ok":true,"result":..}] or
     [{"id":..,"ok":false,"error":{"kind":..,"message":..}}]; error
@@ -27,7 +33,7 @@
     dropped connection: the protocol layer cannot make the daemon
     exit. *)
 
-module Json = Ujam_engine.Json
+module Json = Ujam_obs.Json
 
 type method_ = Optimize | Explain | Lint | Metrics | Ping | Shutdown
 
@@ -41,12 +47,7 @@ type request = {
   meth : method_;
   name : string option;  (** display name for reports/diagnostics *)
   source : source option;
-  machine : string option;
-  bound : int option;
-  max_loops : int option;
-  model : string option;
-  seq : bool option;
-  rules : string list option;
+  options : Ujam_engine.Options.overrides;
   timeout_ms : int option;
 }
 

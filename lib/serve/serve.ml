@@ -1,7 +1,8 @@
-module Json = Ujam_engine.Json
+module Json = Ujam_obs.Json
 module Obs = Ujam_obs.Obs
 module Machine = Ujam_machine.Machine
 module Presets = Ujam_machine.Presets
+module Options = Ujam_engine.Options
 module Engine = Ujam_engine.Engine
 module Model = Ujam_engine.Model
 module Error = Ujam_engine.Error
@@ -156,8 +157,8 @@ let safe_compute f () =
       Protocol.error_payload ~kind:Protocol.Analysis
         ("analysis raised: " ^ Printexc.to_string exn) )
 
-let compute_of ~(meth : Protocol.method_) ~bound ~max_loops ~model ~seq
-    ~machine ~rules ~routine nest =
+let compute_of ~(meth : Protocol.method_) (o : Options.t) ~routine nest =
+  let { Options.machine; model; bound; max_loops; seq; rules } = o in
   match meth with
   | Protocol.Optimize ->
       fun () -> (
@@ -217,36 +218,17 @@ let enqueue_request st conn arrival (req : Protocol.request) =
         st.pending
   | (Protocol.Optimize | Protocol.Explain | Protocol.Lint) as meth -> (
       let cfg = st.cfg in
-      let machine_r =
-        match req.Protocol.machine with
-        | None -> Ok cfg.machine
-        | Some name -> (
-            match Presets.of_name name with
-            | Some m -> Ok m
-            | None ->
-                Error
-                  (Printf.sprintf "unknown machine %S (known: %s)" name
-                     (String.concat ", " Presets.names)))
+      let defaults =
+        { Options.machine = cfg.machine;
+          model = cfg.model;
+          bound = cfg.bound;
+          max_loops = cfg.max_loops;
+          seq = cfg.seq;
+          rules = None }
       in
-      let model_r =
-        match req.Protocol.model with
-        | None -> Ok cfg.model
-        | Some name -> (
-            match Model.find name with
-            | Some m -> Ok m
-            | None ->
-                Error
-                  (Printf.sprintf "unknown model %S (known: %s)" name
-                     (String.concat ", " Model.names)))
-      in
-      match (machine_r, model_r) with
-      | Error msg, _ | _, Error msg -> perr msg
-      | Ok machine, Ok model -> (
-          let bound = Option.value req.Protocol.bound ~default:cfg.bound in
-          let max_loops =
-            Option.value req.Protocol.max_loops ~default:cfg.max_loops
-          in
-          let seq = Option.value req.Protocol.seq ~default:cfg.seq in
+      match Options.resolve defaults req.Protocol.options with
+      | Error e -> perr (Options.to_string e)
+      | Ok opts -> (
           let nest_r =
             match req.Protocol.source with
             | None -> Error (`Protocol "params needs a nest or a kernel")
@@ -296,18 +278,9 @@ let enqueue_request st conn arrival (req : Protocol.request) =
                  re-ask of the same structure — costs a hash lookup
                  instead of a canonicalization. *)
               let nest = Ujam_ir.Hashcons.nest nest in
-              let module M = (val model : Model.MODEL) in
-              let extra =
-                routine
-                ^
-                match req.Protocol.rules with
-                | Some rules -> "|" ^ String.concat "," rules
-                | None -> ""
-              in
               let key =
-                Result_cache.fingerprint
-                  ~op:(Protocol.method_name meth)
-                  ~machine ~bound ~max_loops ~model:M.name ~seq ~extra nest
+                Options.fingerprint ~op:(Protocol.method_name meth)
+                  ~extra:routine opts nest
               in
               let deadline =
                 let spec =
@@ -325,9 +298,7 @@ let enqueue_request st conn arrival (req : Protocol.request) =
                      j_deadline = deadline;
                      j_label = Protocol.method_name meth;
                      j_compute =
-                       safe_compute
-                         (compute_of ~meth ~bound ~max_loops ~model ~seq
-                            ~machine ~rules:req.Protocol.rules ~routine nest) })
+                       safe_compute (compute_of ~meth opts ~routine nest) })
                 st.pending))
 
 let handle_line st conn line =

@@ -28,7 +28,7 @@
     are discarded per batch so a long-lived daemon's memory stays
     bounded. *)
 
-module Json = Ujam_engine.Json
+module Json = Ujam_obs.Json
 
 type config = {
   machine : Ujam_machine.Machine.t;

@@ -5,6 +5,7 @@ open Ujam_linalg
 open Ujam_core
 open Ujam_machine
 open Ujam_engine
+module Json = Ujam_obs.Json
 
 let presets = [ ("alpha", Presets.alpha); ("hppa", Presets.hppa) ]
 
@@ -181,9 +182,98 @@ let test_registry () =
       | Some m -> Alcotest.(check string) alias expect (Model.name m)
       | None -> Alcotest.failf "alias %s not found" alias)
     [ ("ugs-tables", "ugs"); ("dependence", "dep"); ("bruteforce", "brute");
-      ("carr-kennedy", "no-cache"); ("UGS", "ugs") ];
-  Alcotest.(check bool) "unknown name rejected" true
-    (Option.is_none (Model.find "magic"))
+      ("carr-kennedy", "no-cache"); ("UGS", "ugs"); ("ugs-l3", "ugs-l3");
+      ("ugs-l12", "ugs-l12") ];
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " rejected") true
+        (Option.is_none (Model.find name)))
+    [ "magic"; "ugs-l0"; "ugs-l-1"; "ugs-l"; "ugs-l3x" ]
+
+(* The options schema: names come from the preset/model/rule tables,
+   ranges are checked on the resolved value (defaults included), and
+   unset overrides keep the defaults. *)
+let test_options () =
+  let defaults =
+    { Options.machine = Presets.alpha;
+      model = (module Model.Ugs_tables : Model.MODEL);
+      bound = 4;
+      max_loops = 2;
+      seq = false;
+      rules = None }
+  in
+  let none : Options.overrides =
+    { machine = None; model = None; bound = None; max_loops = None;
+      seq = None; rules = None }
+  in
+  let error (o : Options.overrides) =
+    match Options.resolve defaults o with
+    | Ok _ -> "ok"
+    | Error e -> Options.to_string e
+  in
+  (match Options.resolve defaults none with
+  | Ok o ->
+      Alcotest.(check int) "default bound" 4 o.Options.bound;
+      Alcotest.(check string) "default model" "ugs" (Model.name o.Options.model)
+  | Error e -> Alcotest.fail (Options.to_string e));
+  (match
+     Options.resolve defaults
+       { none with
+         machine = Some "hppa-mem";
+         model = Some "ugs-l3";
+         bound = Some 0;
+         rules = Some [ "UJ008" ] }
+   with
+  | Ok o ->
+      Alcotest.(check string) "machine" Presets.hppa_mem.Machine.name
+        o.Options.machine.Machine.name;
+      Alcotest.(check string) "level model" "ugs-l3" (Model.name o.Options.model);
+      Alcotest.(check (option (list string))) "rules" (Some [ "UJ008" ])
+        o.Options.rules
+  | Error e -> Alcotest.fail (Options.to_string e));
+  Alcotest.(check string) "negative bound" "bound must be >= 0 (got -1)"
+    (error { none with bound = Some (-1) });
+  Alcotest.(check string) "negative default bound"
+    "bound must be >= 0 (got -2)"
+    (match Options.resolve { defaults with Options.bound = -2 } none with
+    | Ok _ -> "ok"
+    | Error e -> Options.to_string e);
+  Alcotest.(check string) "unknown model"
+    "unknown model \"ugs-l0\" (known: ugs, dep, brute, no-cache, ugs-l2)"
+    (error { none with model = Some "ugs-l0" });
+  Alcotest.(check string) "unknown rule lists the catalogue"
+    (Printf.sprintf "unknown rule id \"UJ999\" (known: %s)"
+       (String.concat ", "
+          (List.map (fun (id, _, _) -> id) Ujam_analysis.Lint.rules)))
+    (error { none with rules = Some [ "UJ008"; "UJ999" ] });
+  Alcotest.(check string) "level" "level must be >= 1 (got 0)"
+    (match Options.level 0 with Ok _ -> "ok" | Error e -> Options.to_string e)
+
+(* Every diagnostic in a nest report names that nest: repeated problems
+   are answered from the memo only when clean, so a legalization
+   certificate never crosses over to a structurally equal nest. *)
+let test_seq_diagnostics_own_nest () =
+  let routines =
+    Ujam_workload.Generator.corpus ~seed:1 ~recurrent:true ~count:60 ()
+  in
+  let report = Engine.run_corpus ~seq:true ~machine:Presets.alpha routines in
+  let seen = ref 0 in
+  Array.iter
+    (fun (r : Engine.routine_report) ->
+      List.iter
+        (function
+          | Ok (n : Engine.nest_report) ->
+              List.iter
+                (fun (d : Ujam_analysis.Diagnostic.t) ->
+                  incr seen;
+                  Alcotest.(check (option string))
+                    (Printf.sprintf "%s %s" d.rule n.Engine.nest_name)
+                    (Some n.Engine.nest_name) d.loc.Ujam_ir.Loc.nest)
+                n.Engine.diagnostics
+          | Error _ -> ())
+        r.Engine.nests)
+    report.Engine.routines;
+  Alcotest.(check bool) "the corpus carries certificates" true (!seen > 0)
 
 (* JSON rendering stays valid on edge values (inf balance from
    zero-flop nests must become null, not a bare inf token). *)
@@ -205,4 +295,7 @@ let suite =
     Alcotest.test_case "tables built once" `Quick test_tables_built_once;
     Alcotest.test_case "shared context reused" `Quick test_ctx_shared_across_calls;
     Alcotest.test_case "model registry" `Quick test_registry;
+    Alcotest.test_case "options schema" `Quick test_options;
+    Alcotest.test_case "seq diagnostics name their nest" `Quick
+      test_seq_diagnostics_own_nest;
     Alcotest.test_case "json edge values" `Quick test_json_non_finite ]

@@ -160,7 +160,7 @@ let test_custom_layer () =
   Alcotest.(check bool) "nests flagged" true (t.Fuzz.failed > 0);
   Alcotest.(check bool) "report not ok" false (Fuzz.ok r);
   let text = Format.asprintf "%a" Fuzz.pp r in
-  let json = Ujam_engine.Json.to_string (Fuzz.to_json r) in
+  let json = Ujam_obs.Json.to_string (Fuzz.to_json r) in
   List.iter
     (fun (what, haystack, needle) ->
       Alcotest.(check bool) (what ^ " mentions " ^ needle) true
@@ -247,7 +247,7 @@ let test_snippet () =
     [ "let open Ujam_ir.Build in"; "nest \"repro\""; "rd \"B\"";
       "(2 *$ var d 0) +$ 1"; "~lo:1 ~hi:4" ];
   match Shrink.to_json n with
-  | Ujam_engine.Json.Obj fields ->
+  | Ujam_obs.Json.Obj fields ->
       Alcotest.(check bool) "json has loops and snippet" true
         (List.mem_assoc "loops" fields && List.mem_assoc "snippet" fields)
   | _ -> Alcotest.fail "object expected"

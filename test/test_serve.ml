@@ -4,7 +4,7 @@
    cache-hit byte identity, and 1-vs-N-domain byte identity. *)
 
 open Ujam_serve
-module Json = Ujam_engine.Json
+module Json = Ujam_obs.Json
 
 let fresh_socket () =
   let path = Filename.temp_file "ujam_serve_test" ".sock" in
@@ -61,6 +61,32 @@ let error_kind json =
   match Json.member "kind" (member_exn "error" json) with
   | Some (Json.Str k) -> k
   | _ -> Alcotest.failf "no error kind in %s" (Json.to_string json)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* An error response whose message lists every name in [names]. *)
+let check_lists json names =
+  let message =
+    match Json.member "message" (member_exn "error" json) with
+    | Some (Json.Str m) -> m
+    | _ -> Alcotest.failf "no error message in %s" (Json.to_string json)
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (message ^ " lists " ^ name) true
+        (contains message (" " ^ name)))
+    names
+
+let cache_size c =
+  let m = Serve.Client.request c (req ~id:(Json.Str "m") "metrics") in
+  match
+    Option.bind (Json.member "cache" (member_exn "result" m)) (Json.member "size")
+  with
+  | Some (Json.Int n) -> n
+  | _ -> Alcotest.failf "no cache size in %s" (Json.to_string m)
 
 (* A line over the byte bound gets one typed [oversized] error and the
    connection keeps serving. *)
@@ -126,24 +152,79 @@ let test_machine_names () =
         check_ok ~expect:true (ask ~id:(Json.Int 1) "alpha-mem");
         let bad = ask ~id:(Json.Int 2) "vax" in
         check_ok ~expect:false bad;
-        let message =
-          match Json.member "message" (member_exn "error" bad) with
-          | Some (Json.Str m) -> m
-          | _ -> Alcotest.failf "no error message in %s" (Json.to_string bad)
-        in
-        List.iter
-          (fun name ->
-            let quoted = Printf.sprintf " %s" name in
-            let n = String.length quoted in
-            let rec found i =
-              i + n <= String.length message
-              && (String.sub message i n = quoted || found (i + 1))
-            in
-            Alcotest.(check bool) (message ^ " lists " ^ name) true (found 0))
-          Ujam_machine.Presets.names;
+        check_lists bad Ujam_machine.Presets.names;
         Serve.Client.close c)
   in
   ()
+
+(* Analysis params resolve through the options schema: an unknown rule
+   id and a negative bound are [protocol] errors, and neither reaches
+   the result cache. *)
+let test_option_ranges () =
+  let (), _ =
+    with_server (fun path ->
+        let c = Serve.Client.connect path in
+        check_ok ~expect:true
+          (Serve.Client.request c (optimize_req ~id:(Json.Int 1) "sor"));
+        let size_before = cache_size c in
+        let bad_rule =
+          Serve.Client.request c
+            (req ~id:(Json.Int 2)
+               ~params:
+                 [ ("kernel", Json.Str "sor");
+                   ("rules", Json.List [ Json.Str "UJ999" ]) ]
+               "lint")
+        in
+        check_ok ~expect:false bad_rule;
+        Alcotest.(check string) "rule kind" "protocol" (error_kind bad_rule);
+        check_lists bad_rule
+          (List.map (fun (id, _, _) -> id) Ujam_analysis.Lint.rules);
+        let bad_bound =
+          Serve.Client.request c
+            (req ~id:(Json.Int 3)
+               ~params:[ ("kernel", Json.Str "sor"); ("bound", Json.Int (-1)) ]
+               "optimize")
+        in
+        check_ok ~expect:false bad_bound;
+        Alcotest.(check string) "bound kind" "protocol" (error_kind bad_bound);
+        Alcotest.(check int) "cache size unchanged" size_before (cache_size c);
+        Serve.Client.close c)
+  in
+  ()
+
+(* The hierarchy level rides in the model name: ugs-l3 answers with the
+   bytes `ujc optimize sor --level 3 --machine alpha-mem --json` prints
+   under "result" (the CLI computes it exactly like this). *)
+let test_level_model () =
+  let line, _ =
+    with_server (fun path ->
+        let c = Serve.Client.connect path in
+        Serve.Client.send_line c
+          (Json.to_string
+             (req ~id:(Json.Int 1)
+                ~params:
+                  [ ("kernel", Json.Str "sor");
+                    ("machine", Json.Str "alpha-mem");
+                    ("model", Json.Str "ugs-l3");
+                    ("bound", Json.Int 8) ]
+                "optimize"));
+        let line = Serve.Client.recv_line c in
+        Serve.Client.close c;
+        line)
+  in
+  let e = Option.get (Ujam_kernels.Catalogue.find "sor") in
+  let cli =
+    Ujam_engine.Engine.analyze ~bound:8
+      ~model:(Ujam_engine.Model.at_level 3)
+      ~machine:Ujam_machine.Presets.alpha_mem ~routine:"sor"
+      (e.Ujam_kernels.Catalogue.build ())
+  in
+  Alcotest.(check (option string))
+    "ugs-l3 result bytes"
+    (Some
+       (Protocol.response_of_payload ~id:(Json.Int 1) ~ok:true
+          (Ujam_engine.Engine.nest_outcome_to_json cli)))
+    line
 
 (* Two clients pipelining on one socket: responses come back in request
    order per connection, ids echoed verbatim. *)
@@ -286,4 +367,7 @@ let suite =
     Alcotest.test_case "lru eviction" `Quick test_eviction;
     Alcotest.test_case "repeat is a hit" `Quick test_repeat_hit;
     Alcotest.test_case "1 vs N domains" `Quick test_domain_identity;
-    Alcotest.test_case "machine names" `Quick test_machine_names ]
+    Alcotest.test_case "machine names" `Quick test_machine_names;
+    Alcotest.test_case "option ranges are protocol errors" `Quick
+      test_option_ranges;
+    Alcotest.test_case "level rides in the model name" `Quick test_level_model ]
