@@ -367,67 +367,6 @@ let corpus_throughput ppf =
   (count * 3, List.rev !metrics)
 
 (* ------------------------------------------------------------------ *)
-(* Hash-consing: sharing across the catalogue + a synthetic corpus,    *)
-(* and the O(1) payoff of the memoized canonical digest.  The gate     *)
-(* metrics are [sharing_ratio] > 0 and [digest_speedup] >= 10.         *)
-
-let hashcons_bench ppf =
-  let module H = Ujam_ir.Hashcons in
-  H.clear ();
-  H.reset_stats ();
-  Ujam_ir.Canon.memo_clear ();
-  let kernels =
-    List.map
-      (fun (e : Ujam_kernels.Catalogue.entry) ->
-        e.Ujam_kernels.Catalogue.build ~n:12 ())
-      Ujam_kernels.Catalogue.all
-  in
-  let corpus =
-    Ujam_workload.Generator.corpus ~seed:!seed ~count:200 ()
-    |> List.concat_map (fun r -> r.Ujam_workload.Generator.nests)
-  in
-  let nests = kernels @ corpus in
-  let consed = List.map H.nest nests in
-  let ratio = H.sharing_ratio () in
-  let idempotent = List.for_all2 ( == ) consed (List.map H.nest consed) in
-  Format.fprintf ppf
-    "%d nests consed (%d kernels + %d corpus), sharing ratio %.3f@."
-    (List.length nests) (List.length kernels) (List.length corpus) ratio;
-  Format.fprintf ppf "%-8s %8s %8s %8s@." "table" "hits" "misses" "live";
-  List.iter
-    (fun (table, (s : H.stats)) ->
-      Format.fprintf ppf "%-8s %8d %8d %8d@." table s.H.hits s.H.misses s.H.live)
-    (H.stats ());
-  (* the digest payoff: a consed nest answers Canon.digest from the
-     identity-keyed memo; digest_uncached re-canonicalizes, re-encodes
-     and re-hashes every time *)
-  let sample = List.hd consed in
-  let time reps f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do ignore (f () : string) done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
-  ignore (Ujam_ir.Canon.digest sample : string);
-  let memo_s = time 100_000 (fun () -> Ujam_ir.Canon.digest sample) in
-  let uncached_s = time 500 (fun () -> Ujam_ir.Canon.digest_uncached sample) in
-  let speedup = uncached_s /. Float.max 1e-9 memo_s in
-  Format.fprintf ppf
-    "digest: memoized %.1f ns, uncached %.1f ns, speedup %.0fx@."
-    (1e9 *. memo_s) (1e9 *. uncached_s) speedup;
-  Format.fprintf ppf "consing idempotent: %b@." idempotent;
-  (* the @hashcons-smoke gate rides on this experiment's exit code *)
-  if not idempotent then failwith "hashcons: consing is not idempotent";
-  if ratio <= 0.0 then failwith "hashcons: no sharing observed";
-  if speedup < 10.0 then
-    failwith "hashcons: memoized digest under 10x faster than uncached";
-  ( List.length nests,
-    [ ("sharing_ratio", ratio);
-      ("digest_memo_ns", 1e9 *. memo_s);
-      ("digest_uncached_ns", 1e9 *. uncached_s);
-      ("digest_speedup", speedup);
-      ("idempotent", if idempotent then 1.0 else 0.0) ] )
-
-(* ------------------------------------------------------------------ *)
 (* --quick: a deterministic smoke subset for cram — no wall-clock       *)
 (* numbers, small sizes, fixed seeds.                                   *)
 
@@ -936,9 +875,6 @@ let experiments =
     ( "native",
       "Native ground truth — compiled-kernel speedup of the chosen unroll",
       native_bench );
-    ( "hashcons",
-      "Hash-consed IR — sharing ratio and O(1) memoized canonical digest",
-      hashcons_bench );
     ( "reuse",
       "Static miss-ratio predictor — accuracy and speed vs. trace replay",
       reuse_bench );
@@ -953,7 +889,7 @@ let experiments =
 let all_names =
   [ "table1"; "table2"; "fig8"; "fig9"; "ablation-model"; "ablation-brute";
     "ablation-prefetch"; "ablation-permute"; "ablation-registers"; "corpus";
-    "table-build"; "search"; "serve"; "hashcons"; "reuse"; "speed" ]
+    "table-build"; "search"; "serve"; "reuse"; "speed" ]
 
 let run_experiment name =
   let _, title, f =
@@ -1126,7 +1062,7 @@ let usage () =
     \       bench --compare OLD.json NEW.json [--threshold T] [--alloc-threshold T]@.\
      experiments: table1 table2 fig8 fig9 ablation-model ablation-brute@.\
     \             ablation-prefetch ablation-permute ablation-registers@.\
-    \             corpus table-build search serve native speed hashcons reuse@.\
+    \             corpus table-build search serve native speed reuse@.\
     \             quick-matrix quick-corpus all@.\
      `all' excludes `native' (needs a host OCaml toolchain); add it with@.\
     \ --native or by naming it explicitly.@.";

@@ -1016,7 +1016,7 @@ let trace_cmd =
         exit 1
     | Ok events ->
         let stages =
-          [ "graph"; "tables"; "search"; "sim"; "corpus" ]
+          [ "graph"; "tables"; "search"; "corpus" ]
           |> List.filter_map (fun n ->
                  let c = span_count events n in
                  if c > 0 then Some (Printf.sprintf "%s=%d" n c) else None)

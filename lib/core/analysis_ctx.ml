@@ -1,13 +1,12 @@
 open Ujam_ir
 open Ujam_machine
 
-type stage = Graph | Tables | Search | Sim
+type stage = Graph | Tables | Search
 
 type timings = {
   mutable graph_s : float;
   mutable tables_s : float;
   mutable search_s : float;
-  mutable sim_s : float;
 }
 
 type t = {
@@ -27,20 +26,18 @@ type t = {
   balance : Balance.t Lazy.t;
 }
 
-let zero_timings () = { graph_s = 0.0; tables_s = 0.0; search_s = 0.0; sim_s = 0.0 }
+let zero_timings () = { graph_s = 0.0; tables_s = 0.0; search_s = 0.0 }
 
 let stage_name = function
   | Graph -> "graph"
   | Tables -> "tables"
   | Search -> "search"
-  | Sim -> "sim"
 
 let record timings stage dt =
   match stage with
   | Graph -> timings.graph_s <- timings.graph_s +. dt
   | Tables -> timings.tables_s <- timings.tables_s +. dt
   | Search -> timings.search_s <- timings.search_s +. dt
-  | Sim -> timings.sim_s <- timings.sim_s +. dt
 
 (* Each stage timer is also a span: the same [t0]/[dt] pair feeds both
    the timing counter and the trace event, so the sum of span durations
@@ -54,7 +51,7 @@ let timed_into timings stage f =
       Ujam_obs.Obs.Span.emit ~name:(stage_name stage) ~t0 ~dur:dt)
     f
 
-let create ?(bound = 10) ?(max_loops = 2) ?(table_domains = 1) ~machine nest =
+let create ?(bound = 10) ?(max_loops = 2) ~machine nest =
   let timings = zero_timings () in
   let table_builds = ref 0 in
   let graph =
@@ -98,8 +95,7 @@ let create ?(bound = 10) ?(max_loops = 2) ?(table_domains = 1) ~machine nest =
       (incr table_builds;
        timed_into timings Tables (fun () ->
            let _, space = Lazy.force levels_and_space in
-           Balance.prepare ~domains:table_domains ~groups:(Lazy.force ugs)
-             ~machine space nest))
+           Balance.prepare ~groups:(Lazy.force ugs) ~machine space nest))
   in
   { nest; machine; bound; max_loops; timings; table_builds; graph;
     graph_with_input; safety; ugs; sites; ranked; levels_and_space; balance }
@@ -122,5 +118,5 @@ let timed t stage f = timed_into t.timings stage f
 let timings t = t.timings
 
 let pp_timings ppf t =
-  Format.fprintf ppf "graph %.3fs, tables %.3fs, search %.3fs, sim %.3fs"
-    t.graph_s t.tables_s t.search_s t.sim_s
+  Format.fprintf ppf "graph %.3fs, tables %.3fs, search %.3fs" t.graph_s
+    t.tables_s t.search_s

@@ -10,17 +10,16 @@
     once, behind lazy memo fields, and exposes per-stage wall-clock
     counters so corpus runs can report where analysis time goes. *)
 
-type stage = Graph | Tables | Search | Sim
+type stage = Graph | Tables | Search
 
 val stage_name : stage -> string
 (** The span / report name of a stage: ["graph"], ["tables"],
-    ["search"], ["sim"]. *)
+    ["search"]. *)
 
 type timings = {
   mutable graph_s : float;   (** dependence graphs + safety *)
   mutable tables_s : float;  (** UGS tables (GTS/GSS/RRS) *)
   mutable search_s : float;  (** unroll-vector selection *)
-  mutable sim_s : float;     (** cache/CPU simulation *)
 }
 
 type t
@@ -28,16 +27,12 @@ type t
 val create :
   ?bound:int ->
   ?max_loops:int ->
-  ?table_domains:int ->
   machine:Ujam_machine.Machine.t ->
   Ujam_ir.Nest.t ->
   t
 (** Defaults match {!Driver.optimize}: [bound] 10, [max_loops] 2.
     Nothing is computed until the corresponding accessor is first
-    called.  [table_domains] (default 1) fans the balance-table builds
-    out over {!Balance.prepare}'s Domain work queue — meant for
-    single-nest callers; corpus runners already parallelise across
-    nests and should leave it at 1. *)
+    called. *)
 
 val nest : t -> Ujam_ir.Nest.t
 val machine : t -> Ujam_machine.Machine.t

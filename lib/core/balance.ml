@@ -24,12 +24,7 @@ type t = {
   groups : ugs_tables list;
 }
 
-(* The per-UGS exact tables and the fused stream-summary tables are
-   independent, so they form a job queue: one job per UGS plus one for
-   the Rrs summaries (queued first — it is the heaviest).  [Par.map]
-   keeps the output slot-ordered, so [domains] > 1 changes nothing but
-   wall time. *)
-let prepare ?(domains = 1) ?groups ~machine space nest =
+let prepare ?groups ~machine space nest =
   let t0 = Unix.gettimeofday () in
   let d = Ujam_ir.Nest.depth nest in
   let localized = Subspace.span_dims ~dim:d [ d - 1 ] in
@@ -45,27 +40,10 @@ let prepare ?(domains = 1) ?groups ~machine space nest =
       gts = Tables.gts_exact_table space ~localized g;
       gss = Tables.gss_exact_table space ~localized g }
   in
-  let jobs =
-    Array.of_list (`Summary :: List.map (fun g -> `Group g) partition)
+  let _, mem_table, reg_table =
+    Rrs.summary_tables ~groups:partition space ~localized nest
   in
-  let outs =
-    Par.map ~domains
-      ~f:(fun ~domain:_ -> function
-        | `Summary ->
-            let _, mem, reg =
-              Rrs.summary_tables ~groups:partition space ~localized nest
-            in
-            `Summary (mem, reg)
-        | `Group g -> `Group (build_group g))
-      jobs
-  in
-  let mem_table, reg_table =
-    match outs.(0) with `Summary (m, r) -> (m, r) | `Group _ -> assert false
-  in
-  let groups =
-    Array.to_list outs
-    |> List.filter_map (function `Group g -> Some g | `Summary _ -> None)
-  in
+  let groups = List.map build_group partition in
   let t = {
     space;
     machine;

@@ -15,17 +15,13 @@ open Ujam_linalg
 type t
 
 val prepare :
-  ?domains:int ->
   ?groups:Ujam_reuse.Ugs.t list ->
   machine:Ujam_machine.Machine.t ->
   Unroll_space.t ->
   Ujam_ir.Nest.t ->
   t
 (** [groups] supplies a precomputed UGS partition of the nest (e.g. from
-    {!Analysis_ctx}); without it the partition is rebuilt here.
-    [domains] fans the independent table builds (per-UGS exact tables,
-    fused stream summaries) out over a deterministic {!Par} work queue;
-    the result is identical for any domain count. *)
+    {!Analysis_ctx}); without it the partition is rebuilt here. *)
 
 val space : t -> Unroll_space.t
 val machine : t -> Ujam_machine.Machine.t

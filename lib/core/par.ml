@@ -23,9 +23,10 @@
    [Domain.cpu_relax] only when every remaining job is claimed or in
    flight.
 
-   Lives in core so that [Balance.prepare] can fan its table builds
-   out without depending on the engine layer; [Engine.parallel_map]
-   delegates here and layers its queue metrics on via [on_claim]. *)
+   Its one caller is [Engine.parallel_map], which layers its queue
+   metrics on via [on_claim]; the engine's corpus runner, the fuzz
+   harness's nest queue and the serve daemon's miss batches all run
+   through it. *)
 
 let clamp_domains domains n = max 1 (min domains (max 1 n))
 

@@ -16,7 +16,6 @@ let h_routine = Obs.histogram "engine.routine_s"
 let h_graph = Obs.histogram "engine.stage.graph_s"
 let h_tables = Obs.histogram "engine.stage.tables_s"
 let h_search = Obs.histogram "engine.stage.search_s"
-let h_sim = Obs.histogram "engine.stage.sim_s"
 
 type nest_report = {
   nest_name : string;
@@ -55,11 +54,11 @@ let outcome_with_name ~routine nest outcome =
   | Ok r -> Ok { r with nest_name = Nest.name nest }
   | Error e -> Error { e with Error.routine }
 
-(* Process-wide outcome memo, keyed by the content fingerprint.  With
-   hash-consed nests the digest inside the fingerprint is an O(1)
-   memo hit, so asking "have we solved this problem already?" costs a
-   hash lookup — repeated structures across a corpus, a fuzz run, or a
-   serve session are analyzed once per process (LRU-bounded).
+(* Process-wide outcome memo, keyed by the content fingerprint.  A
+   repeated problem (however spelled) costs one canonical digest
+   instead of one analysis — repeated structures across a corpus, a
+   fuzz run, or a serve session are analyzed once per process
+   (LRU-bounded).
 
    Only {e clean} Ok outcomes are memoized: diagnostics and sequence
    notes embed the originating nest's name, which must not leak into a
@@ -96,8 +95,7 @@ let memo_stats () =
 let add_timings (acc : Analysis_ctx.timings) (t : Analysis_ctx.timings) =
   acc.Analysis_ctx.graph_s <- acc.Analysis_ctx.graph_s +. t.Analysis_ctx.graph_s;
   acc.Analysis_ctx.tables_s <- acc.Analysis_ctx.tables_s +. t.Analysis_ctx.tables_s;
-  acc.Analysis_ctx.search_s <- acc.Analysis_ctx.search_s +. t.Analysis_ctx.search_s;
-  acc.Analysis_ctx.sim_s <- acc.Analysis_ctx.sim_s +. t.Analysis_ctx.sim_s
+  acc.Analysis_ctx.search_s <- acc.Analysis_ctx.search_s +. t.Analysis_ctx.search_s
 
 let analyze_fresh ?into ~bound ~max_loops ~model ~seq ~machine ~routine nest =
   let module M = (val model : Model.MODEL) in
@@ -180,7 +178,6 @@ let analyze_fresh ?into ~bound ~max_loops ~model ~seq ~machine ~routine nest =
       Obs.Histogram.record h_graph t.Analysis_ctx.graph_s;
       Obs.Histogram.record h_tables t.Analysis_ctx.tables_s;
       Obs.Histogram.record h_search t.Analysis_ctx.search_s;
-      Obs.Histogram.record h_sim t.Analysis_ctx.sim_s;
       match result with
       | Ok _ -> Obs.Counter.incr m_nests_ok
       | Error _ -> Obs.Counter.incr m_nests_failed
@@ -213,9 +210,8 @@ let analyze ?bound ?max_loops ?model ?seq ~machine ?(routine = "<nest>") nest =
   analyze_into ?bound ?max_loops ?model ?seq ~machine ~routine nest
 
 (* ------------------------------------------------------------------ *)
-(* Deterministic parallel work queue: the slot-ordered atomic queue now
-   lives in core ([Par], so [Balance.prepare] can use it too); the
-   engine layers its queue-occupancy metrics on via the claim hook.
+(* Deterministic parallel work queue: the slot-ordered queue is [Par];
+   the engine layers its queue-occupancy metrics on via the claim hook.
    [run_corpus] and the oracle's fuzz loop both run on this. *)
 
 let clamp_domains = Par.clamp_domains
@@ -379,8 +375,7 @@ let timings_to_json (t : Analysis_ctx.timings) =
   Json.Obj
     [ ("graph_s", Json.Float t.Analysis_ctx.graph_s);
       ("tables_s", Json.Float t.Analysis_ctx.tables_s);
-      ("search_s", Json.Float t.Analysis_ctx.search_s);
-      ("sim_s", Json.Float t.Analysis_ctx.sim_s) ]
+      ("search_s", Json.Float t.Analysis_ctx.search_s) ]
 
 let to_json ?(timings = false) report =
   let base =

@@ -28,7 +28,7 @@ let shift t o =
   let delta = ref 0 in
   Array.iteri (fun k c -> delta := !delta + (c * o.(k))) t.coefs;
   (* Zero-offset shifts (every unchanged copy in an unroll-and-jam
-     body) return the original so consed subtrees keep sharing. *)
+     body) return the original, so unchanged subtrees stay shared. *)
   if !delta = 0 then t else { t with const = t.const + !delta }
 
 let subst t images =

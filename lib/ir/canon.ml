@@ -143,20 +143,15 @@ let encode (n : Nest.t) =
 (* ---- digest memo ----------------------------------------------------- *)
 
 (* Identity-keyed (ephemeron) memo: a digest computed for a given nest
-   *object* is cached for that object's lifetime.  On its own this
-   only helps callers that re-digest the same value; hash-consing
-   ([Hashcons.nest]) makes it global — structurally equal nests
-   collapse to one representative, so every layer's digest of that
-   structure is a single memo entry computed once per process.
+   *object* is cached for that object's lifetime, so a caller that
+   fingerprints the same parsed nest twice (the serve daemon's result
+   cache key, then the engine's outcome memo key) canonicalizes it once.
 
    Keyed by identity, not structure: the memo must never answer for a
    structurally-equal-but-distinct object, because that would make the
-   memo itself a (non-weak, unbounded) hashcons table.  [Hashtbl.hash]
+   memo itself a (non-weak, unbounded) interning table.  [Hashtbl.hash]
    has bounded traversal, so lookups stay O(1) in nest size.  The memo
-   has its own lock; nothing here calls back into user code or into
-   [Hashcons], so no lock ordering issues arise. *)
-
-let digest_uncached n = Digest.to_hex (Digest.string (encode (canon n)))
+   has its own lock and nothing here calls back into user code. *)
 
 module Memo = Ephemeron.K1.Make (struct
   type t = Nest.t
@@ -167,38 +162,25 @@ end)
 
 let memo_lock = Mutex.create ()
 let memo : string Memo.t = Memo.create 1024
-let memo_hits = ref 0
-let memo_misses = ref 0
 
 let digest n =
   Mutex.lock memo_lock;
   let cached = Memo.find_opt memo n in
-  (match cached with
-  | Some _ -> incr memo_hits
-  | None -> incr memo_misses);
   Mutex.unlock memo_lock;
   match cached with
   | Some d -> d
   | None ->
       (* Encode outside the lock: digesting is the expensive part and
          must not serialize other domains' memo hits. *)
-      let d = digest_uncached n in
+      let d = Digest.to_hex (Digest.string (encode (canon n))) in
       Mutex.lock memo_lock;
       Memo.replace memo n d;
       Mutex.unlock memo_lock;
       d
 
-let memo_stats () =
-  Mutex.lock memo_lock;
-  let r = (!memo_hits, !memo_misses) in
-  Mutex.unlock memo_lock;
-  r
-
 let memo_clear () =
   Mutex.lock memo_lock;
   Memo.clear memo;
-  memo_hits := 0;
-  memo_misses := 0;
   Mutex.unlock memo_lock
 
 let equal a b = a == b || String.equal (encode (canon a)) (encode (canon b))

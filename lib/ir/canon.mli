@@ -38,15 +38,9 @@ val digest : Nest.t -> string
     under alpha-renaming, relabeling, and commutative operand order.
     Memoized per nest {e object} (identity-keyed, weak, Domain-safe):
     the first call on a given value pays the full canonicalize+hash
-    cost, later calls on the same value are O(1).  {!Hashcons.nest}
-    collapses structurally equal nests to one object, making the memo
-    effective across the whole process. *)
-
-val digest_uncached : Nest.t -> string
-(** [digest] bypassing the memo — for measuring the amortization. *)
-
-val memo_stats : unit -> int * int
-(** [(hits, misses)] of the digest memo since start or {!memo_clear}. *)
+    cost, later calls on the same value are O(1).  A structurally
+    equal but distinct value is digested afresh; nothing interns nests
+    (DESIGN.md §14). *)
 
 val memo_clear : unit -> unit
 

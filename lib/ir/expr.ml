@@ -32,7 +32,7 @@ let scalars e =
 
 (* Rebuilds preserve physical identity when [f] does: an unchanged
    subtree comes back as the same object, so zero-offset shifts of
-   consed expressions share wholesale. *)
+   expressions share wholesale. *)
 let rec map_refs f = function
   | (Const _ | Scalar _) as e -> e
   | Read r as e ->

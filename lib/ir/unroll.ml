@@ -53,21 +53,17 @@ let unroll_and_jam nest u =
         (Nest.loops nest)
     in
     let body =
-      (* Interning the jammed body makes the copies share: the
-         zero-offset copy is physically the original ([Stmt.shift] is
-         identity-preserving on zero deltas), and repeated structure
-         across nonzero offsets collapses to one representative per
-         class, so downstream equality checks short-circuit on [==]. *)
-      Hashcons.body
-        (List.concat_map
-           (fun o ->
-             let shift_iters =
-               Array.mapi
-                 (fun k ok -> ok * (Nest.loops nest).(k).Loop.step)
-                 (Vec.to_array o)
-             in
-             List.map (fun s -> Stmt.shift s shift_iters) (Nest.body nest))
-           (offsets u))
+      (* The zero-offset copy is physically the original: [Stmt.shift]
+         returns its argument on a zero delta. *)
+      List.concat_map
+        (fun o ->
+          let shift_iters =
+            Array.mapi
+              (fun k ok -> ok * (Nest.loops nest).(k).Loop.step)
+              (Vec.to_array o)
+          in
+          List.map (fun s -> Stmt.shift s shift_iters) (Nest.body nest))
+        (offsets u)
     in
     Nest.with_loops (Nest.with_body nest body) loops
   end

@@ -248,8 +248,6 @@ type report = {
   skipped_depth : int;
   deduped : int;
   digest_s : float;
-  digest_unique : int;
-  digest_reused : int;
   fenced : int;
   tallies : (layer * tally) list;
   total_mismatches : int;
@@ -317,7 +315,6 @@ let run cfg =
   let jobs = ref [] in
   let count = ref 0 and idx = ref 0 and skipped_depth = ref 0 in
   let deduped = ref 0 and digest_s = ref 0.0 in
-  let memo_hits0, memo_misses0 = Canon.memo_stats () in
   let seen = Hashtbl.create 64 in
   let max_draws = (cfg.n * 8) + 16 in
   while !count < cfg.n && !idx < max_draws do
@@ -332,23 +329,17 @@ let run cfg =
           else begin
             (* duplicate-skipping: a nest whose canonical digest was
                already queued re-checks nothing — skip it and let the
-               loop draw a fresh one in its place.  Consing the nest
-               first means a structural duplicate interns to the same
-               representative, so its digest is an O(1) memo hit
-               instead of a full re-encode: each distinct nest is
-               digested exactly once per run. *)
-            let nest, dup =
-              if not cfg.dedup then (nest, false)
+               loop draw a fresh one in its place. *)
+            let dup =
+              cfg.dedup
+              &&
+              let t0 = Sys.time () in
+              let d = Canon.digest nest in
+              digest_s := !digest_s +. (Sys.time () -. t0);
+              if Hashtbl.mem seen d then true
               else begin
-                let t0 = Sys.time () in
-                let nest = Hashcons.nest_no_digest nest in
-                let d = Canon.digest nest in
-                digest_s := !digest_s +. (Sys.time () -. t0);
-                if Hashtbl.mem seen d then (nest, true)
-                else begin
-                  Hashtbl.add seen d ();
-                  (nest, false)
-                end
+                Hashtbl.add seen d ();
+                false
               end
             in
             if dup then incr deduped
@@ -360,7 +351,6 @@ let run cfg =
       r.Generator.nests
   done;
   let jobs = Array.of_list (List.rev !jobs) in
-  let memo_hits1, memo_misses1 = Canon.memo_stats () in
   let results =
     Engine.parallel_map ~domains:cfg.domains
       ~f:(fun ~domain:_ (routine, nest) ->
@@ -399,8 +389,6 @@ let run cfg =
     skipped_depth = !skipped_depth;
     deduped = !deduped;
     digest_s = !digest_s;
-    digest_unique = memo_misses1 - memo_misses0;
-    digest_reused = memo_hits1 - memo_hits0;
     fenced = stats.Generator.fenced;
     tallies;
     total_mismatches;
@@ -424,9 +412,7 @@ let pp ppf r =
     r.nests r.routines r.draws r.rejected r.skipped_depth;
   if c.dedup then
     Format.fprintf ppf
-      "dedup: %d duplicate nests skipped by canonical digest (%d digests \
-       computed, %d re-encodes avoided by the memo)@."
-      r.deduped r.digest_unique r.digest_reused;
+      "dedup: %d duplicate nests skipped by canonical digest@." r.deduped;
   if c.recurrent then
     Format.fprintf ppf
       "recurrent mode: %d of %d emitted nests have a binding safety fence@."
@@ -502,9 +488,7 @@ let to_json r =
        pinned default-run JSON byte-stable (the native fields below
        follow the same rule) *)
     @ (if c.dedup then
-         [ ("digest_s", Json.Float r.digest_s);
-           ("digest_unique", Json.Int r.digest_unique);
-           ("digest_reused", Json.Int r.digest_reused) ]
+         [ ("digest_s", Json.Float r.digest_s) ]
        else [])
     @ (("fenced", Json.Int r.fenced)
       :: List.concat_map

@@ -125,15 +125,9 @@ type report = {
   skipped_depth : int;  (** nests over [max_depth], not checked *)
   deduped : int;  (** canonical duplicates skipped (0 unless [dedup]) *)
   digest_s : float;
-      (** time spent consing and digesting drawn nests (0 unless
-          [dedup]); duplicates intern to an already-digested
-          representative, so this grows with {e distinct} nests only *)
-  digest_unique : int;
-      (** distinct digests actually computed during the draw loop
-          ({!Ujam_ir.Canon.memo_stats} miss delta; 0 unless [dedup]) *)
-  digest_reused : int;
-      (** digest requests served O(1) from the memo — the re-encodes
-          the run did {e not} pay for (0 unless [dedup]) *)
+      (** processor time spent digesting drawn nests (0 unless
+          [dedup]); every drawn nest within the depth limit is
+          digested once, duplicates included *)
   fenced : int;
       (** emitted nests whose safety cap binds at a non-innermost level
           (only counted in recurrent mode) *)

@@ -272,12 +272,9 @@ let enqueue_request st conn arrival (req : Protocol.request) =
                        ~diagnostics msg ))
                 st.pending
           | Ok (routine, nest) ->
-              (* Intern the nest: repeated problems (however spelled)
-                 collapse to one representative whose canonical digest
-                 is memoized, so the fingerprint below — and any
-                 re-ask of the same structure — costs a hash lookup
-                 instead of a canonicalization. *)
-              let nest = Ujam_ir.Hashcons.nest nest in
+              (* The fingerprint digests the parsed nest; the engine's
+                 memo key later re-digests the same object, which is a
+                 {!Ujam_ir.Canon} memo hit. *)
               let key =
                 Options.fingerprint ~op:(Protocol.method_name meth)
                   ~extra:routine opts nest
@@ -536,8 +533,7 @@ let write_file path contents =
 (* Line-delimited JSON, mirroring the wire format: a version header,
    then one {key, ok, payload} object per entry, most-recently-used
    first.  Keys are content fingerprints (machine + options + canonical
-   digest), which are stable across processes — hashcons ids are not
-   and never appear here (DESIGN.md §14). *)
+   digest), which are stable across processes (DESIGN.md §14). *)
 
 let cache_header = Json.Obj [ ("ujc-serve-cache", Json.Int 1) ]
 

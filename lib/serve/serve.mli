@@ -41,8 +41,8 @@ type config = {
   cache_file : string option;
       (** when set, the result cache is reloaded from this path at
           startup and persisted back (most-recently-used first, keys
-          are machine+options+canonical-digest fingerprints — never
-          hashcons ids) after the drain, so warm-cache performance
+          are machine+options+canonical-digest fingerprints) after
+          the drain, so warm-cache performance
           survives restarts; a missing or unreadable file starts
           cold *)
   batch : int;  (** max cache-miss jobs dispatched per round *)

@@ -142,12 +142,46 @@ let test_corpus_degrades () =
 let test_corpus_deterministic () =
   let routines = corpus_with_injected () in
   let run domains =
+    (* a cleared memo, so every domain count does its own full work *)
+    Engine.memo_clear ();
     Engine.to_string
       (Engine.run_corpus ~domains ~bound:3 ~machine:Presets.alpha routines)
   in
   let one = run 1 in
   Alcotest.(check string) "1 domain = 2 domains" one (run 2);
   Alcotest.(check string) "1 domain = 4 domains" one (run 4)
+
+(* The same check on a clean seeded synthetic corpus: every domain
+   count renders the identical report, with the memo cleared before
+   each run. *)
+let test_seeded_corpus_deterministic () =
+  let routines = Ujam_workload.Generator.corpus ~seed:42 ~count:30 () in
+  let run domains =
+    Engine.memo_clear ();
+    Engine.to_string
+      (Engine.run_corpus ~domains ~bound:3 ~machine:Presets.alpha routines)
+  in
+  let one = run 1 in
+  Alcotest.(check string) "1 = 2 domains" one (run 2);
+  Alcotest.(check string) "1 = 4 domains" one (run 4)
+
+(* A repeated problem costs one digest, not one analysis: a fresh,
+   alpha-renamed copy of a kernel is answered from the outcome memo and
+   renders the kernel's report under its own name. *)
+let test_renamed_copy_hits_memo () =
+  Engine.memo_clear ();
+  let nest = Ujam_kernels.Kernels.dmxpy0 ~n:12 () in
+  let copy = Test_canon.alpha_rename "v" nest in
+  let analyze n = report_exn (Engine.analyze ~machine:Presets.alpha n) in
+  let render r = Format.asprintf "%a" Engine.pp_nest_outcome (Ok r) in
+  let first = analyze nest in
+  let hits () = (Engine.memo_stats ()).Result_cache.hits in
+  let hits0 = hits () in
+  let second = analyze copy in
+  Alcotest.(check int) "one memo hit" (hits0 + 1) (hits ());
+  Alcotest.(check string) "same report but the name"
+    (render { first with Engine.nest_name = Ujam_ir.Nest.name copy })
+    (render second)
 
 (* The satellite regression: optimize + speedup_estimate must build the
    balance tables exactly once. *)
@@ -292,10 +326,14 @@ let suite =
     Alcotest.test_case "corpus degrades per-routine" `Quick test_corpus_degrades;
     Alcotest.test_case "corpus deterministic across domains" `Quick
       test_corpus_deterministic;
+    Alcotest.test_case "renamed copy hits the memo" `Quick
+      test_renamed_copy_hits_memo;
     Alcotest.test_case "tables built once" `Quick test_tables_built_once;
     Alcotest.test_case "shared context reused" `Quick test_ctx_shared_across_calls;
     Alcotest.test_case "model registry" `Quick test_registry;
     Alcotest.test_case "options schema" `Quick test_options;
     Alcotest.test_case "seq diagnostics name their nest" `Quick
       test_seq_diagnostics_own_nest;
-    Alcotest.test_case "json edge values" `Quick test_json_non_finite ]
+    Alcotest.test_case "json edge values" `Quick test_json_non_finite;
+    Alcotest.test_case "seeded corpus across domains" `Quick
+      test_seeded_corpus_deterministic ]

@@ -8,7 +8,6 @@ let () =
       ("ir/unroll", Test_unroll.suite);
       ("ir/parse", Test_parse.suite);
       ("ir/canon", Test_canon.suite);
-      ("ir/hashcons", Test_hashcons.suite);
       ("ir/interchange", Test_interchange.suite);
       ("ir/tile", Test_tile.suite);
       ("ir/transform", Test_transform.suite);
