@@ -499,21 +499,16 @@ let compile_cmd =
           $ permute_flag)
 
 let graph_cmd =
-  let dot_flag =
-    Arg.(value & flag & info [ "dot" ] ~doc:"Emit Graphviz instead of text.")
-  in
-  let run e n dot no_input =
+  let run e n no_input =
     let nest = build e n in
     let g = Ujam_depend.Graph.build ~include_input:(not no_input) nest in
-    if dot then print_string (Ujam_depend.Graph.to_dot g)
-    else begin
-      Format.printf "%a@." Ujam_depend.Graph.pp g;
-      Format.printf "%a@." Ujam_depend.Stats.pp (Ujam_depend.Stats.of_graph g)
-    end
+    Format.printf "%a@." Ujam_depend.Graph.pp g;
+    Format.printf "%a@." Ujam_depend.Stats.pp (Ujam_depend.Stats.of_graph g)
   in
   Cmd.v
-    (Cmd.info "graph" ~doc:"Print a kernel's dependence graph (optionally DOT).")
-    Term.(const run $ kernel_arg $ size_arg $ dot_flag $ input_flag)
+    (Cmd.info "graph"
+       ~doc:"Print a kernel's dependence graph and its statistics (Graphviz              output: $(b,ujc dot)).")
+    Term.(const run $ kernel_arg $ size_arg $ input_flag)
 
 let verify_cmd =
   let run e n machine bound no_cache =
@@ -1016,7 +1011,7 @@ let trace_cmd =
         exit 1
     | Ok events ->
         let stages =
-          [ "graph"; "tables"; "search"; "corpus" ]
+          List.map Analysis_ctx.stage_name Analysis_ctx.stages @ [ "corpus" ]
           |> List.filter_map (fun n ->
                  let c = span_count events n in
                  if c > 0 then Some (Printf.sprintf "%s=%d" n c) else None)

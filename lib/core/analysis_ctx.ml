@@ -3,11 +3,11 @@ open Ujam_machine
 
 type stage = Graph | Tables | Search
 
-type timings = {
-  mutable graph_s : float;
-  mutable tables_s : float;
-  mutable search_s : float;
-}
+let stages = [ Graph; Tables; Search ]
+
+let index = function Graph -> 0 | Tables -> 1 | Search -> 2
+
+type timings = float array
 
 type t = {
   nest : Nest.t;
@@ -26,27 +26,26 @@ type t = {
   balance : Balance.t Lazy.t;
 }
 
-let zero_timings () = { graph_s = 0.0; tables_s = 0.0; search_s = 0.0 }
+let zero_timings () = Array.make (List.length stages) 0.0
+let stage_time (t : timings) stage = t.(index stage)
 
 let stage_name = function
   | Graph -> "graph"
   | Tables -> "tables"
   | Search -> "search"
 
-let record timings stage dt =
-  match stage with
-  | Graph -> timings.graph_s <- timings.graph_s +. dt
-  | Tables -> timings.tables_s <- timings.tables_s +. dt
-  | Search -> timings.search_s <- timings.search_s +. dt
+let record (timings : timings) stage dt =
+  let i = index stage in
+  timings.(i) <- timings.(i) +. dt
 
 (* Each stage timer is also a span: the same [t0]/[dt] pair feeds both
    the timing counter and the trace event, so the sum of span durations
    per stage equals the counter exactly (a golden test pins this). *)
 let timed_into timings stage f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ujam_obs.Obs.now () in
   Fun.protect
     ~finally:(fun () ->
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = Ujam_obs.Obs.now () -. t0 in
       record timings stage dt;
       Ujam_obs.Obs.Span.emit ~name:(stage_name stage) ~t0 ~dur:dt)
     f
@@ -118,5 +117,7 @@ let timed t stage f = timed_into t.timings stage f
 let timings t = t.timings
 
 let pp_timings ppf t =
-  Format.fprintf ppf "graph %.3fs, tables %.3fs, search %.3fs" t.graph_s
-    t.tables_s t.search_s
+  Format.pp_print_list
+    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
+    (fun ppf s -> Format.fprintf ppf "%s %.3fs" (stage_name s) (stage_time t s))
+    ppf stages

@@ -10,17 +10,23 @@
     once, behind lazy memo fields, and exposes per-stage wall-clock
     counters so corpus runs can report where analysis time goes. *)
 
-type stage = Graph | Tables | Search
+type stage =
+  | Graph  (** dependence graphs + safety *)
+  | Tables  (** UGS tables (GTS/GSS/RRS) *)
+  | Search  (** unroll-vector selection *)
+
+val stages : stage list
+(** Every stage in pipeline order: [[Graph; Tables; Search]]. *)
 
 val stage_name : stage -> string
 (** The span / report name of a stage: ["graph"], ["tables"],
     ["search"]. *)
 
-type timings = {
-  mutable graph_s : float;   (** dependence graphs + safety *)
-  mutable tables_s : float;  (** UGS tables (GTS/GSS/RRS) *)
-  mutable search_s : float;  (** unroll-vector selection *)
-}
+type timings = float array
+(** Seconds charged to each stage, one cell per element of {!stages}
+    in the same order; read a cell with {!stage_time}. *)
+
+val stage_time : timings -> stage -> float
 
 type t
 

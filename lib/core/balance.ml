@@ -25,7 +25,7 @@ type t = {
 }
 
 let prepare ?groups ~machine space nest =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now () in
   let d = Ujam_ir.Nest.depth nest in
   let localized = Subspace.span_dims ~dim:d [ d - 1 ] in
   let partition =
@@ -52,7 +52,7 @@ let prepare ?groups ~machine space nest =
     reg_table;
     groups }
   in
-  Obs.Histogram.record h_build (Unix.gettimeofday () -. t0);
+  Obs.Histogram.record h_build (Obs.now () -. t0);
   t
 
 let space t = t.space

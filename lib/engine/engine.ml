@@ -13,9 +13,11 @@ let m_steals = Obs.counter "engine.jobs.stolen"
 let g_queue = Obs.gauge "engine.queue.remaining"
 let h_routine = Obs.histogram "engine.routine_s"
 
-let h_graph = Obs.histogram "engine.stage.graph_s"
-let h_tables = Obs.histogram "engine.stage.tables_s"
-let h_search = Obs.histogram "engine.stage.search_s"
+let h_stages =
+  List.map
+    (fun s ->
+      (s, Obs.histogram ("engine.stage." ^ Analysis_ctx.stage_name s ^ "_s")))
+    Analysis_ctx.stages
 
 type nest_report = {
   nest_name : string;
@@ -93,9 +95,7 @@ let memo_stats () =
   s
 
 let add_timings (acc : Analysis_ctx.timings) (t : Analysis_ctx.timings) =
-  acc.Analysis_ctx.graph_s <- acc.Analysis_ctx.graph_s +. t.Analysis_ctx.graph_s;
-  acc.Analysis_ctx.tables_s <- acc.Analysis_ctx.tables_s +. t.Analysis_ctx.tables_s;
-  acc.Analysis_ctx.search_s <- acc.Analysis_ctx.search_s +. t.Analysis_ctx.search_s
+  Array.iteri (fun i dt -> acc.(i) <- acc.(i) +. dt) t
 
 let analyze_fresh ?into ~bound ~max_loops ~model ~seq ~machine ~routine nest =
   let module M = (val model : Model.MODEL) in
@@ -175,9 +175,9 @@ let analyze_fresh ?into ~bound ~max_loops ~model ~seq ~machine ~routine nest =
     Option.iter (fun acc -> add_timings acc (Analysis_ctx.timings ctx)) into;
     if Obs.enabled () then begin
       let t = Analysis_ctx.timings ctx in
-      Obs.Histogram.record h_graph t.Analysis_ctx.graph_s;
-      Obs.Histogram.record h_tables t.Analysis_ctx.tables_s;
-      Obs.Histogram.record h_search t.Analysis_ctx.search_s;
+      List.iter
+        (fun (s, h) -> Obs.Histogram.record h (Analysis_ctx.stage_time t s))
+        h_stages;
       match result with
       | Ok _ -> Obs.Counter.incr m_nests_ok
       | Error _ -> Obs.Counter.incr m_nests_failed
@@ -236,7 +236,7 @@ let run_corpus ?(domains = 1) ?(bound = 4) ?(max_loops = 2)
   let per_domain =
     Array.init (max 1 domains) (fun _ -> Analysis_ctx.zero_timings ())
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now () in
   let domains = clamp_domains domains (Array.length jobs) in
   let out =
     Obs.Span.with_ "corpus" (fun () ->
@@ -255,14 +255,13 @@ let run_corpus ?(domains = 1) ?(bound = 4) ?(max_loops = 2)
             if not (Obs.enabled ()) then work ()
             else
               Obs.Span.with_ r.Ujam_workload.Generator.name (fun () ->
-                  let rt0 = Unix.gettimeofday () in
+                  let rt0 = Obs.now () in
                   let report = work () in
-                  Obs.Histogram.record h_routine
-                    (Unix.gettimeofday () -. rt0);
+                  Obs.Histogram.record h_routine (Obs.now () -. rt0);
                   report))
           jobs)
   in
-  let elapsed_s = Unix.gettimeofday () -. t0 in
+  let elapsed_s = Obs.now () -. t0 in
   let timings = Analysis_ctx.zero_timings () in
   Array.iter (add_timings timings) per_domain;
   let ok = ref 0 and failed = ref 0 in
@@ -371,11 +370,13 @@ let routine_to_json r =
     [ ("routine", Json.Str r.routine);
       ("nests", Json.List (List.map nest_outcome_to_json r.nests)) ]
 
-let timings_to_json (t : Analysis_ctx.timings) =
+let timings_to_json t =
   Json.Obj
-    [ ("graph_s", Json.Float t.Analysis_ctx.graph_s);
-      ("tables_s", Json.Float t.Analysis_ctx.tables_s);
-      ("search_s", Json.Float t.Analysis_ctx.search_s) ]
+    (List.map
+       (fun s ->
+         ( Analysis_ctx.stage_name s ^ "_s",
+           Json.Float (Analysis_ctx.stage_time t s) ))
+       Analysis_ctx.stages)
 
 let to_json ?(timings = false) report =
   let base =

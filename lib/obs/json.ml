@@ -69,7 +69,7 @@ let to_string t =
 (* ------------------------------------------------------------------ *)
 (* Parsing.  A recursive-descent reader for the dialect the emitter
    above produces (standard JSON; \uXXXX escapes decode to UTF-8).
-   Needed so `bench --compare` can diff two perf-trajectory files and
+   Needed so the serve daemon can read requests and its cache file and
    `ujc trace` can round-trip-validate the trace it just wrote. *)
 
 exception Parse_error of string

@@ -19,7 +19,7 @@ let enabled () = Atomic.get memory_sink
 
 let sink () = if enabled () then Memory else Noop
 
-let now () = Unix.gettimeofday ()
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let set_sink = function
   | Memory ->

@@ -21,8 +21,11 @@ val disable : unit -> unit
 val enabled : unit -> bool
 
 val now : unit -> float
-(** Wall-clock seconds ([Unix.gettimeofday]); the time base every span
-    and stage timer shares. *)
+(** Seconds on the monotonic clock ([CLOCK_MONOTONIC], arbitrary
+    origin), so a wall-clock step never shows up as a negative or
+    inflated duration.  Every span, stage timer, corpus timer and serve
+    arrival/deadline uses this one time base; only differences of two
+    readings are meaningful. *)
 
 module Counter : sig
   type t

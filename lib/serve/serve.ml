@@ -307,7 +307,7 @@ let handle_line st conn line =
   else begin
     st.n_requests <- st.n_requests + 1;
     Obs.Counter.incr st.m_requests;
-    let arrival = Unix.gettimeofday () in
+    let arrival = Obs.now () in
     if String.length line > st.cfg.max_request_bytes then
       Queue.add
         (Ready
@@ -417,7 +417,7 @@ let round st =
           end
     done;
     let popped = List.rev !popped in
-    let now = Unix.gettimeofday () in
+    let now = Obs.now () in
     (* classify: immediate line, timeout, cache hit, or miss *)
     let classified =
       List.map
@@ -472,7 +472,7 @@ let round st =
     let finish j ok payload =
       let line = Protocol.response_of_payload ~id:j.j_id ~ok payload in
       write_line st j.j_conn ~is_ok:ok line;
-      let dur = Unix.gettimeofday () -. j.j_arrival in
+      let dur = Obs.now () -. j.j_arrival in
       Obs.Histogram.record st.h_request dur;
       if st.cfg.trace_out <> None then
         Obs.Span.emit ~name:("serve." ^ j.j_label) ~t0:j.j_arrival ~dur

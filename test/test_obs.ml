@@ -206,9 +206,10 @@ let test_span_sums_equal_timings () =
       in
       (* the same dt feeds the timings record and the span, so the sums
          agree to the last bit; the tolerance only covers fp re-summation *)
-      check "graph" t.Analysis_ctx.graph_s;
-      check "tables" t.Analysis_ctx.tables_s;
-      check "search" t.Analysis_ctx.search_s;
+      List.iter
+        (fun s ->
+          check (Analysis_ctx.stage_name s) (Analysis_ctx.stage_time t s))
+        Analysis_ctx.stages;
       Alcotest.(check bool) "at least one stage span recorded" true
         (events <> []))
 
