@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation, plus the ablations DESIGN.md calls out and the agreement
-   checks of the table engine, the search and the miss predictor.
+   checks of the miss predictor and the compiled kernels.
 
      dune exec bench/main.exe              all experiments
      dune exec bench/main.exe -- table1    Sec. 5.1 / Table 1
@@ -12,8 +12,6 @@
      dune exec bench/main.exe -- ablation-prefetch  prefetch-bandwidth sweep
      dune exec bench/main.exe -- ablation-permute   permutation pre-pass
      dune exec bench/main.exe -- ablation-registers register-file sweep
-     dune exec bench/main.exe -- table-build  sweep vs per-cell table builds
-     dune exec bench/main.exe -- search    pruned vs exhaustive unroll search
      dune exec bench/main.exe -- reuse     miss-ratio predictor accuracy/speed
      dune exec bench/main.exe -- native    compiled-kernel speedup (not in all)
      dune exec bench/main.exe -- --quick   deterministic smoke subset
@@ -325,104 +323,6 @@ let quick_corpus ppf =
   Format.fprintf ppf "%a@." Engine.pp report
 
 (* ------------------------------------------------------------------ *)
-(* The sweep-engine payoff in isolation: exact group-count tables on a *)
-(* depth-3 bound-8 space, built by the O(d*|U|) difference-array       *)
-(* sweeps and by the per-cell reference recurrence; totals must agree. *)
-
-let table_build ppf =
-  let nest = Ujam_kernels.Kernels.mmjki ~n:16 () in
-  let d = Ujam_ir.Nest.depth nest in
-  let localized = Subspace.span_dims ~dim:d [ d - 1 ] in
-  let space = Unroll_space.make ~bounds:[| 8; 8; 0 |] in
-  let groups = Ujam_reuse.Ugs.of_nest nest in
-  (* parity first, outside the timed loops: the sweep-built tables and
-     the per-cell recurrence must report the same totals everywhere *)
-  let sweep_total =
-    List.fold_left
-      (fun acc g ->
-        let gt = Tables.gts_exact_table space ~localized g in
-        let gs = Tables.gss_exact_table space ~localized g in
-        Unroll_space.fold space acc (fun acc u ->
-            acc + Unroll_space.Table.get gt u + Unroll_space.Table.get gs u))
-      0 groups
-  in
-  let percell_total =
-    List.fold_left
-      (fun acc g ->
-        Unroll_space.fold space acc (fun acc u ->
-            acc
-            + Tables.gts_exact space ~localized g u
-            + Tables.gss_exact space ~localized g u))
-      0 groups
-  in
-  let sweep_reps = 50 and percell_reps = 3 in
-  let sweep_s =
-    time_it ~reps:sweep_reps (fun () ->
-        List.iter
-          (fun g ->
-            ignore (Tables.gts_exact_table space ~localized g);
-            ignore (Tables.gss_exact_table space ~localized g))
-          groups)
-  in
-  let percell_s =
-    time_it ~reps:percell_reps (fun () ->
-        List.iter
-          (fun g ->
-            Unroll_space.iter space (fun u ->
-                ignore (Tables.gts_exact space ~localized g u);
-                ignore (Tables.gss_exact space ~localized g u)))
-          groups)
-  in
-  let speedup = percell_s /. Float.max 1e-9 sweep_s in
-  Format.fprintf ppf "space 9x9x1 (%d cells), %d UGS groups@."
-    (Unroll_space.card space) (List.length groups);
-  Format.fprintf ppf "sweep    %.6fs/build (totals %d, %d reps)@." sweep_s
-    sweep_total sweep_reps;
-  Format.fprintf ppf "per-cell %.6fs/build (totals %d, %d reps)@." percell_s
-    percell_total percell_reps;
-  Format.fprintf ppf "agreement: %b, speedup %.1fx@."
-    (sweep_total = percell_total) speedup
-
-(* Pruned vs exhaustive unroll-vector search over the catalogue at     *)
-(* bound 6: identical choices, fewer cells evaluated.                  *)
-
-let search_bench ppf =
-  let machine = Ujam_machine.Presets.alpha in
-  let ctxs =
-    List.map
-      (fun (e : Ujam_kernels.Catalogue.entry) ->
-        let nest = e.Ujam_kernels.Catalogue.build ~n:12 () in
-        ( e.Ujam_kernels.Catalogue.name,
-          Analysis_ctx.create ~bound:6 ~machine nest ))
-      Ujam_kernels.Catalogue.all
-  in
-  (* warm the balance tables so the loop times the search alone *)
-  List.iter (fun (_, ctx) -> ignore (Analysis_ctx.balance ctx)) ctxs;
-  let agree =
-    List.for_all
-      (fun (_, ctx) ->
-        let b = Analysis_ctx.balance ctx in
-        Search.best ~prune:true ~cache:true b
-        = Search.best ~prune:false ~cache:true b)
-      ctxs
-  in
-  let reps = 30 in
-  let time prune =
-    time_it ~reps (fun () ->
-        List.iter
-          (fun (_, ctx) ->
-            ignore (Search.best ~prune ~cache:true (Analysis_ctx.balance ctx)))
-          ctxs)
-  in
-  let pruned_s = time true in
-  let full_s = time false in
-  let speedup = full_s /. Float.max 1e-9 pruned_s in
-  Format.fprintf ppf "%d kernels, bound 6, %d reps@." (List.length ctxs) reps;
-  Format.fprintf ppf "pruned     %.6fs/sweep@." pruned_s;
-  Format.fprintf ppf "exhaustive %.6fs/sweep@." full_s;
-  Format.fprintf ppf "choices identical: %b, speedup %.2fx@." agree speedup
-
-(* ------------------------------------------------------------------ *)
 (* Native ground truth: emit, compile, and run four kernels through the
    host OCaml toolchain in one program; measure the real speedup of the
    engine-chosen unroll vector over (1,...,1) and validate every
@@ -584,12 +484,6 @@ let experiments =
     ( "ablation-registers",
       "Ablation A5 — register-file size sweep (future work, Sec. 6)",
       ablation_registers );
-    ( "table-build",
-      "Sweep-built exact tables vs per-cell reference (bound-8 space)",
-      table_build );
-    ( "search",
-      "Pruned vs exhaustive unroll search (catalogue, bound 6)",
-      search_bench );
     ( "native",
       "Native ground truth — compiled-kernel speedup of the chosen unroll",
       native_bench );

@@ -251,28 +251,22 @@ let tables_cmd =
   let run e n bound =
     let nest = build e n in
     let d = Ujam_ir.Nest.depth nest in
-    let localized = Subspace.span_dims ~dim:d [ d - 1 ] in
     let bounds = Array.make d bound in
     bounds.(d - 1) <- 0;
-    let space = Unroll_space.make ~bounds in
-    let mem = Rrs.memory_table space ~localized nest in
-    let reg = Rrs.register_table space ~localized nest in
+    (* The tables are machine-independent; any preset prepares them. *)
+    let b =
+      Balance.prepare ~machine:Ujam_machine.Presets.alpha
+        (Unroll_space.make ~bounds) nest
+    in
     Format.printf "u          V_M  R    g_T  g_S@.";
-    Unroll_space.iter space (fun u ->
-        let gt =
+    Unroll_space.iter (Balance.space b) (fun u ->
+        let gt, gs =
           List.fold_left
-            (fun acc g -> acc + Tables.gts_exact space ~localized g u)
-            0 (Ujam_reuse.Ugs.of_nest nest)
-        in
-        let gs =
-          List.fold_left
-            (fun acc g -> acc + Tables.gss_exact space ~localized g u)
-            0 (Ujam_reuse.Ugs.of_nest nest)
+            (fun (gt, gs) (_, t, s) -> (gt + t, gs + s))
+            (0, 0) (Balance.group_counts b u)
         in
         Format.printf "%-10s %-4d %-4d %-4d %-4d@." (Vec.to_string u)
-          (Unroll_space.Table.get mem u)
-          (Unroll_space.Table.get reg u)
-          gt gs)
+          (Balance.memory_ops b u) (Balance.registers b u) gt gs)
   in
   Cmd.v
     (Cmd.info "tables" ~doc:"Print the precomputed unroll tables of a kernel.")

@@ -4,8 +4,7 @@ open Ujam_machine
 module Obs = Ujam_obs.Obs
 
 (* Wall time of one [prepare]: the whole analytic cost of a nest is
-   table construction, so this histogram is the before/after evidence
-   for the sweep engine. *)
+   table construction. *)
 let h_build = Obs.histogram "tables.build_s"
 
 type ugs_tables = {

@@ -137,8 +137,7 @@ let metrics ~machine nest u =
             (fun i ->
               { Streams.site = sites.(i);
                 delta = temporal.deltas.(i);
-                is_def = Site.is_write sites.(i);
-                copy = 0 })
+                is_def = Site.is_write sites.(i) })
             members
         in
         Streams.build ~base ~h ~invariant:inv ms)

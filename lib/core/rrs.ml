@@ -4,20 +4,12 @@ open Ujam_reuse
 
 let partition ~localized nest = Streams.of_body ~localized nest
 
-let groups_of ?groups nest =
-  match groups with Some gs -> gs | None -> Ugs.of_nest nest
-
 (* One pass over the space fills all three summaries, and the summary
    closures skip stream materialisation entirely (one full-box
-   partition per UGS, then an allocation-free walk per cell) — asking
-   for the tables separately used to pay the per-[u] stream build three
-   times. *)
+   partition per UGS, then an allocation-free walk per cell). *)
 let summary_tables ?groups space ~localized nest =
-  let fns =
-    List.map
-      (fun g -> Streams.unrolled_summary_fn space ~localized g)
-      (groups_of ?groups nest)
-  in
+  let groups = match groups with Some gs -> gs | None -> Ugs.of_nest nest in
+  let fns = List.map (fun g -> Streams.unrolled_summary_fn space ~localized g) groups in
   let streams = Unroll_space.Table.create space 0 in
   let mem = Unroll_space.Table.create space 0 in
   let reg = Unroll_space.Table.create space 0 in
@@ -35,18 +27,6 @@ let summary_tables ?groups space ~localized nest =
       Unroll_space.Table.set mem u m;
       Unroll_space.Table.set reg u r);
   (streams, mem, reg)
-
-let stream_table ?groups space ~localized nest =
-  let s, _, _ = summary_tables ?groups space ~localized nest in
-  s
-
-let memory_table ?groups space ~localized nest =
-  let _, m, _ = summary_tables ?groups space ~localized nest in
-  m
-
-let register_table ?groups space ~localized nest =
-  let _, _, r = summary_tables ?groups space ~localized nest in
-  r
 
 (* Figure 5: the number of register-reuse sets after unrolling, without
    materialising the body.  Every definition copy always generates its

@@ -8,14 +8,16 @@
     unrolled body is ever materialised, which is the contrast with the
     brute-force scheme of Wolf, Maydan and Chen.
 
-    [memory_table], [register_table] and [stream_table] store totals per
-    cell (read with [Unroll_space.Table.get]), derived from the stream
-    closure.  [incremental_rrs_table] is the Figure 5 formulation: it
-    works from the RRS leaders and their merge keys alone — definitions
-    always regenerate their stream; a use-led leader's copy is absorbed
-    from the offset at which an earlier generator's copy coincides with
-    it (the Figure 6 condition).  It also stores totals per cell and is
-    checked against the stream construction in the test suite. *)
+    [summary_tables] stores totals per cell (read with
+    [Unroll_space.Table.get]), summed over {!Streams.unrolled_summary_fn}
+    per UGS; {!Balance.prepare} builds these, and the test suite checks
+    every cell against the streams of the materialised unrolled body.
+    [incremental_rrs_table] is the Figure 5 formulation: it works from
+    the RRS leaders and their merge keys alone — definitions always
+    regenerate their stream; a use-led leader's copy is absorbed from
+    the offset at which an earlier generator's copy coincides with it
+    (the Figure 6 condition).  It also stores totals per cell and is
+    checked against the stream table of [summary_tables]. *)
 
 open Ujam_linalg
 
@@ -29,23 +31,9 @@ val summary_tables :
   localized:Subspace.t ->
   Ujam_ir.Nest.t ->
   Unroll_space.Table.t * Unroll_space.Table.t * Unroll_space.Table.t
-(** [(streams, memory_ops, registers)] from one pass over the space —
-    building the unrolled stream closure dominates, so fused callers
-    (e.g. {!Balance.prepare}) pay it once instead of per table. *)
-
-val stream_table :
-  ?groups:Ujam_reuse.Ugs.t list ->
-  Unroll_space.t -> localized:Subspace.t -> Ujam_ir.Nest.t -> Unroll_space.Table.t
-
-val memory_table :
-  ?groups:Ujam_reuse.Ugs.t list ->
-  Unroll_space.t -> localized:Subspace.t -> Ujam_ir.Nest.t -> Unroll_space.Table.t
-(** [groups] supplies a precomputed UGS partition of the nest so the
-    table builders do not re-partition per table. *)
-
-val register_table :
-  ?groups:Ujam_reuse.Ugs.t list ->
-  Unroll_space.t -> localized:Subspace.t -> Ujam_ir.Nest.t -> Unroll_space.Table.t
+(** [(streams, memory_ops, registers)] from one pass over the space.
+    [groups] supplies a precomputed UGS partition of the nest so it is
+    not re-partitioned here. *)
 
 val incremental_rrs_table :
   Unroll_space.t -> localized:Subspace.t -> Ujam_ir.Nest.t -> Unroll_space.Table.t

@@ -2,7 +2,7 @@ open Ujam_linalg
 open Ujam_ir
 open Ujam_reuse
 
-type member = { site : Site.t; delta : int; is_def : bool; copy : int }
+type member = { site : Site.t; delta : int; is_def : bool }
 
 type stream = { base : string; h : Mat.t; invariant : bool; members : member list }
 
@@ -21,12 +21,11 @@ let registers s = if s.invariant then 1 else span s.members + 1
 let memory_ops s = if s.invariant then 0 else 1
 
 (* Time order: larger delta touches a fixed location earlier; within one
-   iteration, body-copy order then statement order, and a statement's
-   reads execute before its write. *)
+   iteration, statement order (body copies are statements of their own
+   in a materialised body), and a statement's reads execute before its
+   write. *)
 let time_sort members =
-  let rank m =
-    (m.copy, m.site.Site.stmt, (if m.is_def then 1 else 0), m.site.Site.id)
-  in
+  let rank m = (m.site.Site.stmt, (if m.is_def then 1 else 0), m.site.Site.id) in
   List.stable_sort
     (fun a b ->
       let c = compare b.delta a.delta in
@@ -73,7 +72,7 @@ let class_streams ~h ~localized ~base (sites : Site.t list) =
               | Some x -> Vec.get x (Vec.dim x - 1)
               | None -> 0 (* unreachable: sites come from one GTS class *)
             in
-            { site = s; delta; is_def = Site.is_write s; copy = 0 })
+            { site = s; delta; is_def = Site.is_write s })
           sites
       in
       split_at_defs ~base ~h ~invariant (time_sort members)
@@ -87,28 +86,39 @@ let of_body ~localized nest =
         part.Groups.classes)
     (Ugs.of_nest nest)
 
-let iter_box u f =
-  let d = Vec.dim u in
-  let o = Array.make d 0 in
-  let rec go k =
-    if k = d then f (Vec.make o)
-    else
-      for x = 0 to Vec.get u k do
-        o.(k) <- x;
-        go (k + 1)
-      done
-  in
-  go 0
+type summary = { streams : int; memory_ops : int; registers : int }
 
-(* Streams of the unrolled loop, from the original UGS alone.  Each GTS
-   class of the original body gets a merge key (m over the unroll levels,
-   delta on the innermost loop) relative to its component root; after
-   unrolling by [u] the classes of the unrolled body are the points of
-   the union of the key-shifted boxes, and each covering class deposits
-   its members there, time-shifted by its key delta.  The component
-   decomposition and per-member offsets depend only on the UGS, so
-   [unrolled_fn] computes them once and returns a per-[u] closure. *)
-let unrolled_parts space ~localized (ugs : Ugs.t) =
+let summarize ss =
+  List.fold_left
+    (fun acc s ->
+      { streams = acc.streams + 1;
+        memory_ops = acc.memory_ops + memory_ops s;
+        registers = acc.registers + registers s })
+    { streams = 0; memory_ops = 0; registers = 0 }
+    ss
+
+(* Stream summaries of the unrolled loop, from the original UGS alone.
+   Each GTS class of the original body gets a merge key (m over the
+   unroll levels, delta on the innermost loop) relative to its component
+   root; after unrolling by [u] the classes of the unrolled body are the
+   points of the union of the key-shifted boxes [0..u], and each
+   covering class deposits its members there, time-shifted by its key
+   delta.
+
+   Every ingredient of the per-[u] stream decomposition is independent
+   of [u] once computed over the full space box: the component
+   decomposition, the class partition of the deposit points
+   (equivalence classes restrict to sub-boxes), each deposit's time
+   offset, and the total time order — the unrolled body orders by
+   (delta desc, body copy, stmt, def, site id), and the textual rank of
+   the copy at offset [o] within any box [0..u] orders exactly as
+   lex([o]).  So we partition and sort once, and each query walks the
+   sorted deposit arrays, skipping entries whose offset lies outside
+   [0..u], splitting at definitions and accumulating spans — no
+   allocation, no hashing, no sorting per [u]. *)
+type deposit = { off : int array; d_delta : int; d_stmt : int; d_def : bool; d_id : int }
+
+let unrolled_summary_fn space ~localized (ugs : Ugs.t) =
   let h = ugs.Ugs.h in
   let solver =
     Solvers.temporal ~h ~localized ~unroll_levels:(Unroll_space.unroll_levels space)
@@ -154,93 +164,6 @@ let unrolled_parts space ~localized (ugs : Ugs.t) =
     resolved_classes;
   let invariant = Selfreuse.has_self_temporal ~localized h in
   let equiv = Solvers.temporal_point_equiv ~h ~localized in
-  (comps, invariant, equiv)
-
-let unrolled_fn space ~localized (ugs : Ugs.t) =
-  let h = ugs.Ugs.h in
-  let comps, invariant, equiv = unrolled_parts space ~localized ugs in
-  fun u ->
-    if not (Unroll_space.mem space u) then
-      invalid_arg "Streams.of_ugs_unrolled: unroll vector out of space";
-    List.concat_map
-      (fun (_, cell) ->
-        (* Points of the union of shifted boxes, modulo the unroll-space
-           kernel directions; copies at equivalent points pool into the
-           representative's member set, time-shifted by the witness. *)
-        (* Newest rep first; classes are pairwise inequivalent, so at
-           most one rep can match a point and the scan order is
-           irrelevant — a final reverse restores discovery order
-           without the quadratic append-per-rep. *)
-        let reps : (Vec.t * member list ref) list ref = ref [] in
-        List.iter
-          (fun (members, { Solvers.m; delta }) ->
-            (* iter_box enumerates offsets lexicographically: the running
-               index is the textual rank of the body copy. *)
-            let copy_rank = ref (-1) in
-            iter_box u (fun o ->
-                incr copy_rank;
-                let p = Vec.add m o in
-                let rec find = function
-                  | [] ->
-                      let cell = ref [] in
-                      reps := (p, cell) :: !reps;
-                      (cell, 0)
-                  | (r, cell) :: rest -> (
-                      match equiv p r with
-                      | Some shift -> (cell, shift)
-                      | None -> find rest)
-                in
-                let cell, shift = find !reps in
-                List.iter
-                  (fun (s, d_rel, is_def) ->
-                    cell :=
-                      { site = s;
-                        delta = delta + d_rel + shift;
-                        is_def;
-                        copy = !copy_rank }
-                      :: !cell)
-                  members))
-          !cell;
-        List.concat_map
-          (fun (_, cell) ->
-            split_at_defs ~base:ugs.Ugs.base ~h ~invariant (time_sort (List.rev !cell)))
-          (List.rev !reps))
-      !comps
-
-let of_ugs_unrolled space ~localized ugs u = unrolled_fn space ~localized ugs u
-
-let of_nest_unrolled space ~localized nest u =
-  List.concat_map
-    (fun g -> of_ugs_unrolled space ~localized g u)
-    (Ugs.of_nest nest)
-
-type summary = { streams : int; memory_ops : int; registers : int }
-
-let summarize ss =
-  List.fold_left
-    (fun acc s ->
-      { streams = acc.streams + 1;
-        memory_ops = acc.memory_ops + memory_ops s;
-        registers = acc.registers + registers s })
-    { streams = 0; memory_ops = 0; registers = 0 }
-    ss
-
-(* [summarize (unrolled_fn u)] without building streams per [u].
-
-   Every ingredient of the per-[u] stream decomposition is independent
-   of [u] once computed over the full space box: the class partition of
-   the deposit points (equivalence classes restrict to sub-boxes), each
-   deposit's time offset, and the total time order — [time_sort]'s key
-   is (delta desc, body-copy rank, stmt, def, site id), and the copy
-   rank of offset [o] within any box [0..u] orders exactly as lex([o]).
-   So we partition and sort once, and each query walks the sorted
-   deposit arrays, skipping entries whose offset lies outside [0..u],
-   splitting at definitions and accumulating spans — no allocation, no
-   hashing, no sorting per [u]. *)
-type deposit = { off : int array; d_delta : int; d_stmt : int; d_def : bool; d_id : int }
-
-let unrolled_summary_fn space ~localized (ugs : Ugs.t) =
-  let comps, invariant, equiv = unrolled_parts space ~localized ugs in
   let compare_deposit a b =
     let c = compare b.d_delta a.d_delta in
     if c <> 0 then c
@@ -252,8 +175,7 @@ let unrolled_summary_fn space ~localized (ugs : Ugs.t) =
           (a.d_stmt, a.d_def, a.d_id)
           (b.d_stmt, b.d_def, b.d_id)
   in
-  (* One full-box partition per component cell (the analogue of one
-     [unrolled_fn] query at the maximal vector). *)
+  (* One full-box partition per component cell. *)
   let cells =
     List.map
       (fun (_, cell) ->
@@ -296,7 +218,7 @@ let unrolled_summary_fn space ~localized (ugs : Ugs.t) =
   let dim = Unroll_space.depth space in
   fun u ->
     if not (Unroll_space.mem space u) then
-      invalid_arg "Streams.of_ugs_unrolled: unroll vector out of space";
+      invalid_arg "Streams.unrolled_summary_fn: unroll vector out of space";
     let ub = Vec.to_array u in
     let inside off =
       let ok = ref true in

@@ -7,11 +7,11 @@
     (larger constants touch a fixed location earlier), split at every
     definition because a store regenerates the value (Sec. 4.3).
 
-    Two equivalent constructions are provided: [of_body] materialises a
-    (possibly unrolled) body and partitions its sites — the ground truth
-    — while [of_ugs_unrolled] derives the streams of the unrolled loop
-    from the original UGS structure and an unroll vector alone, which is
-    the paper's point: no unrolled data structure is ever built. *)
+    [of_body] partitions the sites of a (possibly materialised unrolled)
+    body — the ground truth — while [unrolled_summary_fn] derives the
+    stream counts of the unrolled loop from the original UGS structure
+    and an unroll vector alone, which is the paper's point: no unrolled
+    data structure is ever built. *)
 
 open Ujam_linalg
 open Ujam_reuse
@@ -20,9 +20,6 @@ type member = {
   site : Ujam_ir.Site.t;
   delta : int;  (** innermost-loop time offset within the stream *)
   is_def : bool;
-  copy : int;
-      (** textual rank of the body copy the member comes from (0 in an
-          already-materialised body, whose statement indices encode it) *)
 }
 
 type stream = {
@@ -48,28 +45,18 @@ val build :
 
 val of_body : localized:Subspace.t -> Ujam_ir.Nest.t -> stream list
 
-val of_ugs_unrolled :
-  Unroll_space.t -> localized:Subspace.t -> Ugs.t -> Vec.t -> stream list
-
-val unrolled_fn :
-  Unroll_space.t -> localized:Subspace.t -> Ugs.t -> Vec.t -> stream list
-(** Partial application of {!of_ugs_unrolled}: the class decomposition,
-    merge keys and member offsets are resolved once; the returned closure
-    only enumerates the offset boxes for each queried vector.  Use when
-    filling whole tables. *)
-
-val of_nest_unrolled :
-  Unroll_space.t -> localized:Subspace.t -> Ujam_ir.Nest.t -> Vec.t -> stream list
-
 type summary = { streams : int; memory_ops : int; registers : int }
 
 val summarize : stream list -> summary
 
 val unrolled_summary_fn :
   Unroll_space.t -> localized:Subspace.t -> Ugs.t -> Vec.t -> summary
-(** [summarize (unrolled_fn space ~localized ugs u)] without building
-    the streams: the deposit partition and its time order are computed
-    once over the full space box (they are independent of [u]), and each
-    query is an allocation-free walk that filters offsets outside
-    [0..u].  Table fills ({!Rrs.summary_tables}) run on this; the test
-    suite pins its agreement with the materialised construction. *)
+(** [unrolled_summary_fn space ~localized ugs u] is the {!summarize}d
+    streams of [ugs] after unrolling by [u], without building the
+    unrolled body or its streams: the deposit partition and its time
+    order are computed once over the full space box (they are
+    independent of [u]), and each query is an allocation-free walk that
+    filters offsets outside [0..u].  Table fills ({!Rrs.summary_tables})
+    run on this; the test suite pins those tables against {!of_body} on
+    the materialised unrolled body.
+    @raise Invalid_argument if [u] is outside [space]. *)

@@ -69,41 +69,6 @@ let compute_table space ~solver ~kernel_gens leaders =
     (components ~dim ~solver leaders);
   t
 
-let iter_box u f =
-  let d = Vec.dim u in
-  let o = Array.make d 0 in
-  let rec go k =
-    if k = d then f (Vec.make o)
-    else
-      for x = 0 to Vec.get u k do
-        o.(k) <- x;
-        go (k + 1)
-      done
-  in
-  go 0
-
-let exact_count space ~solver ~equiv leaders u =
-  if not (Unroll_space.mem space u) then
-    invalid_arg "Tables.exact_count: unroll vector out of space";
-  let count = ref 0 in
-  List.iter
-    (fun members ->
-      (* Distinct points modulo the kernel directions of the unroll
-         space: two offsets are one group when [equiv] relates them. *)
-      let reps : Vec.t list ref = ref [] in
-      List.iter
-        (fun (_, m) ->
-          iter_box u (fun o ->
-              let p = Vec.add m o in
-              if not (List.exists (fun r -> Option.is_some (equiv p r)) !reps)
-              then begin
-                reps := p :: !reps;
-                incr count
-              end))
-        members)
-    (components ~dim:(Unroll_space.depth space) ~solver leaders);
-  !count
-
 let orientable v =
   Vec.for_all (fun x -> x >= 0) v || Vec.for_all (fun x -> x <= 0) v
 
@@ -206,15 +171,3 @@ let gss_exact_table space ~localized ugs =
     ~solver:(spatial_solver space ~localized ugs)
     ~equiv:(Solvers.spatial_point_equiv ~h:ugs.Ujam_reuse.Ugs.h ~localized)
     (gss_leaders ~localized ugs)
-
-let gts_exact space ~localized ugs u =
-  exact_count space
-    ~solver:(temporal_solver space ~localized ugs)
-    ~equiv:(Solvers.temporal_point_equiv ~h:ugs.Ugs.h ~localized)
-    (gts_leaders ~localized ugs) u
-
-let gss_exact space ~localized ugs u =
-  exact_count space
-    ~solver:(spatial_solver space ~localized ugs)
-    ~equiv:(Solvers.spatial_point_equiv ~h:ugs.Ugs.h ~localized)
-    (gss_leaders ~localized ugs) u

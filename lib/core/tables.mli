@@ -1,5 +1,6 @@
-(** The paper's table computations (Figures 2 and 3) and their exact
-    counterparts.
+(** The group-count tables (g_T, g_S) over the unroll space: the
+    paper's incremental computations (Figures 2 and 3) and the exact
+    tables the search reads.
 
     [compute_table] is the incremental [ComputeTable] of Figure 2: start
     every cell at the number of leaders, then for each leader pair
@@ -9,10 +10,11 @@
     claimed the merge.  The total number of groups after unrolling by [u]
     is the prefix sum over [u' <= u] — the paper's [Sum].
 
-    [exact_count] enumerates the union of merge-key-shifted unroll boxes
-    directly; it is the specification the incremental algorithm is tested
-    against (and agrees with on separable-SIV nests, the paper's stated
-    domain). *)
+    [gts_exact_table]/[gss_exact_table] partition the merge-key-shifted
+    copy points of the whole space once per UGS and store totals per
+    cell; {!Balance.prepare} builds these.  The test suite checks them
+    cell for cell against the materialised unrolled body, and
+    [compute_table] against them on its domain ({!applicable}). *)
 
 open Ujam_linalg
 
@@ -28,14 +30,6 @@ val compute_table :
 
 val total : Unroll_space.Table.t -> Vec.t -> int
 (** Number of groups after unrolling by [u] (the paper's [Sum]). *)
-
-val exact_count :
-  Unroll_space.t ->
-  solver:Solvers.t ->
-  equiv:Solvers.point_equiv ->
-  Vec.t list ->
-  Vec.t ->
-  int
 
 val gts_table :
   Unroll_space.t -> localized:Subspace.t -> Ujam_reuse.Ugs.t -> Unroll_space.Table.t
@@ -58,12 +52,6 @@ val applicable :
 
 val gts_applicable :
   Unroll_space.t -> localized:Subspace.t -> Ujam_reuse.Ugs.t -> bool
-
-val gts_exact :
-  Unroll_space.t -> localized:Subspace.t -> Ujam_reuse.Ugs.t -> Vec.t -> int
-
-val gss_exact :
-  Unroll_space.t -> localized:Subspace.t -> Ujam_reuse.Ugs.t -> Vec.t -> int
 
 val gts_exact_table :
   Unroll_space.t -> localized:Subspace.t -> Ujam_reuse.Ugs.t -> Unroll_space.Table.t

@@ -132,7 +132,6 @@ module Table = struct
       dirty = false;
       prefix = None }
 
-  let space t = t.space
   let invalidate t = t.prefix <- None
 
   let check t v =
@@ -197,16 +196,6 @@ module Table = struct
         let i = index t.space lo in
         t.pending.(i) <- t.pending.(i) + delta
 
-  let add_region t ~from_ ~excluding delta =
-    add_from t from_ delta;
-    match excluding with
-    | None -> ()
-    | Some e ->
-        (* {u >= from_} ∩ {u >= e} = {u >= max(from_, e)} — but only
-           cancel when the outer box is non-empty in the space. *)
-        if Option.is_some (corner t from_) then
-          add_from t (Vec.map2 max from_ e) (-delta)
-
   let add_cover t points delta =
     let points = List.sort_uniq Vec.compare (List.filter_map (corner t) points) in
     (* The union of upward boxes depends only on the minimal antichain,
@@ -252,85 +241,4 @@ module Table = struct
   let prefix_sum t v =
     check t v;
     (prefix_table t).(index t.space v)
-
-  let merge_add a b =
-    if a.space.bounds <> b.space.bounds then
-      invalid_arg "Unroll_space.Table.merge_add: space mismatch";
-    materialize a;
-    materialize b;
-    { space = a.space;
-      cells = Array.map2 ( + ) a.cells b.cells;
-      pending = Array.make a.space.card 0;
-      dirty = false;
-      prefix = None }
-
-  let fold t init f =
-    materialize t;
-    let acc = ref init in
-    for i = 0 to t.space.card - 1 do
-      acc := f !acc (of_index t.space i) t.cells.(i)
-    done;
-    !acc
-
-  let to_alist t =
-    materialize t;
-    let acc = ref [] in
-    for i = t.space.card - 1 downto 0 do
-      acc := (of_index t.space i, t.cells.(i)) :: !acc
-    done;
-    !acc
-end
-
-(* The pre-sweep per-cell implementation, kept verbatim as the parity
-   oracle: every region write scans the whole space, every prefix sum
-   scans it again.  The QCheck suite runs random write/read programs
-   against both engines and the bench harness measures the gap. *)
-module Reference = struct
-  type space = t
-  type nonrec t = { space : space; cells : int array }
-
-  let create space init = { space; cells = Array.make space.card init }
-  let space t = t.space
-
-  let check t v =
-    if not (mem t.space v) then invalid_arg "Unroll_space.Table: out of space"
-
-  let get t v =
-    check t v;
-    t.cells.(index t.space v)
-
-  let set t v x =
-    check t v;
-    t.cells.(index t.space v) <- x
-
-  let add t v x =
-    check t v;
-    let i = index t.space v in
-    t.cells.(i) <- t.cells.(i) + x
-
-  let add_from t lo delta =
-    iter t.space (fun u -> if Vec.leq_pointwise lo u then add t u delta)
-
-  let add_region t ~from_ ~excluding delta =
-    iter t.space (fun u ->
-        if Vec.leq_pointwise from_ u then
-          let excluded =
-            match excluding with
-            | Some e -> Vec.leq_pointwise e u
-            | None -> false
-          in
-          if not excluded then add t u delta)
-
-  let add_cover t points delta =
-    iter t.space (fun u ->
-        if List.exists (fun p -> Vec.leq_pointwise p u) points then
-          add t u delta)
-
-  let prefix_sum t v =
-    check t v;
-    let s = ref 0 in
-    iter t.space (fun u -> if Vec.leq_pointwise u v then s := !s + get t u);
-    !s
-
-  let to_alist t = List.map (fun u -> (u, get t u)) (vectors t.space)
 end

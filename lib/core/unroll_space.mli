@@ -8,12 +8,11 @@
     [u] during the search.
 
     Tables are backed by a flat array plus a pending difference layer:
-    region writes ([add_from]/[add_region]/[add_cover]) cost O(corners)
-    and are folded into per-cell values by d running-sum sweeps
-    (O(d·card) total) on the first read after a write; prefix sums are
-    answered in O(1) from a cached summed-area table.  The pre-sweep
-    per-cell implementation survives as {!Reference} for differential
-    testing and benchmarking. *)
+    region writes ([add_from]/[add_cover]) cost O(corners) and are
+    folded into per-cell values by d running-sum sweeps (O(d·card)
+    total) on the first read after a write; prefix sums are answered in
+    O(1) from a cached summed-area table.  The test suite runs random
+    write/read programs against a per-cell reference table. *)
 
 open Ujam_linalg
 
@@ -58,7 +57,6 @@ module Table : sig
   type t
 
   val create : space -> int -> t
-  val space : t -> space
   val get : t -> Vec.t -> int
   val set : t -> Vec.t -> int -> unit
   val add : t -> Vec.t -> int -> unit
@@ -66,11 +64,6 @@ module Table : sig
   val add_from : t -> Vec.t -> int -> unit
   (** [add_from t lo delta] adds [delta] at every [u >= lo] pointwise.
       O(1): a single corner update on the pending difference layer. *)
-
-  val add_region : t -> from_:Vec.t -> excluding:Vec.t option -> int -> unit
-  (** Adds on [{u >= from_} \ {u >= excluding}]: the paper's "between the
-      newly computed merge point and the previous superleader's".  At
-      most two corner updates. *)
 
   val add_cover : t -> Vec.t list -> int -> unit
   (** [add_cover t points delta] adds [delta] once at every [u] above at
@@ -81,32 +74,4 @@ module Table : sig
   val prefix_sum : t -> Vec.t -> int
   (** [sum over 0 <= u' <= u of t[u']] — the paper's [Sum] function.
       O(1) per query after a one-time summed-area sweep. *)
-
-  val merge_add : t -> t -> t
-  (** Pointwise sum; spaces must agree. *)
-
-  val fold : t -> 'a -> ('a -> Vec.t -> int -> 'a) -> 'a
-  (** Folds over [(vector, value)] pairs in lexicographic order. *)
-
-  val to_alist : t -> (Vec.t * int) list
-end
-
-module Reference : sig
-  (** The original per-cell table semantics: every region write and every
-      prefix sum is a full-space scan.  Kept as the differential-testing
-      oracle for the sweep engine above and as the benchmark baseline. *)
-
-  type space = t
-  type t
-
-  val create : space -> int -> t
-  val space : t -> space
-  val get : t -> Vec.t -> int
-  val set : t -> Vec.t -> int -> unit
-  val add : t -> Vec.t -> int -> unit
-  val add_from : t -> Vec.t -> int -> unit
-  val add_region : t -> from_:Vec.t -> excluding:Vec.t option -> int -> unit
-  val add_cover : t -> Vec.t list -> int -> unit
-  val prefix_sum : t -> Vec.t -> int
-  val to_alist : t -> (Vec.t * int) list
 end

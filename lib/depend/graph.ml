@@ -65,9 +65,6 @@ let build ?(include_input = true) nest =
   done;
   { nest; edges = List.rev !edges }
 
-let edges_on t base =
-  List.filter (fun e -> String.equal (Aref.base e.src.Site.ref_) base) t.edges
-
 let pp_kind ppf k =
   Format.pp_print_string ppf
     (match k with Flow -> "flow" | Anti -> "anti" | Output -> "output" | Input -> "input")

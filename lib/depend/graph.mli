@@ -17,11 +17,6 @@ val build : ?include_input:bool -> Ujam_ir.Nest.t -> t
     the textually earlier site to the later one; ambiguous (leading
     [Star]) dependences keep the id order of the pair. *)
 
-val edges_on : t -> string -> edge list
-(** Edges whose endpoints reference the given array. *)
-
-val kind_of_sites : Ujam_ir.Site.t -> Ujam_ir.Site.t -> kind
-
 val pp_kind : Format.formatter -> kind -> unit
 val pp : Format.formatter -> t -> unit
 

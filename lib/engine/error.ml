@@ -45,8 +45,6 @@ let guard ~stage ~routine f =
    with the engine on what "supported" means; here a violation becomes a
    typed Validate error instead of feeding the lattice solvers inputs
    they do not model. *)
-let max_coefficient = Supported.max_coefficient
-
 let check_supported ~routine nest =
   match Supported.check nest with
   | Ok () -> Ok ()

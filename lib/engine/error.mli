@@ -47,13 +47,9 @@ val to_string : t -> string
 val guard : stage:stage -> routine:string -> (unit -> 'a) -> ('a, t) result
 (** Run a pipeline stage, converting its exceptions into a typed error. *)
 
-val max_coefficient : int
-(** Largest modelled subscript coefficient magnitude; alias of
-    {!Ujam_ir.Supported.max_coefficient}. *)
-
 val check_supported : routine:string -> Ujam_ir.Nest.t -> (unit, t) result
 (** Reject nests the reuse model does not cover (non-unit loop steps and
-    subscript coefficients beyond {!max_coefficient}) with a typed
+    subscript coefficients beyond {!Ujam_ir.Supported.max_coefficient}) with a typed
     [Validate] error; the class itself is defined by
     {!Ujam_ir.Supported.check}, and every violation is attached as a
     located [UJ004]/[UJ005] diagnostic

@@ -58,9 +58,3 @@ val find : string -> (module MODEL) option
 (** Look a strategy up by name or alias ("ugs", "dep", "brute",
     "no-cache", ...), or as ["ugs-l<K>"] for any level [K >= 1]
     ({!at_level}). *)
-
-val choice_of_metrics :
-  machine:Ujam_machine.Machine.t ->
-  cache:bool ->
-  Ujam_linalg.Vec.t * Ujam_core.Bruteforce.metrics ->
-  Ujam_core.Search.choice

@@ -25,11 +25,6 @@ let body t = t.body
 let loops t = t.loops
 let var_name t k = t.loops.(k).Loop.var
 
-let level_of_var t v =
-  let found = ref None in
-  Array.iteri (fun k (l : Loop.t) -> if String.equal l.Loop.var v then found := Some k) t.loops;
-  !found
-
 let flops_per_iteration t = List.fold_left (fun acc s -> acc + Stmt.flops s) 0 t.body
 
 let refs t =
@@ -59,10 +54,6 @@ let scalars t =
   assigned_scalars t
   @ List.concat_map (fun (s : Stmt.t) -> Expr.scalars s.Stmt.rhs) t.body
   |> List.sort_uniq String.compare
-
-let free_scalars t =
-  let assigned = assigned_scalars t in
-  List.filter (fun s -> not (List.mem s assigned)) (scalars t)
 
 let trip_counts t =
   let trips = Array.map Loop.trip_const t.loops in

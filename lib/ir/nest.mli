@@ -16,7 +16,6 @@ val name : t -> string
 val body : t -> Stmt.t list
 val loops : t -> Loop.t array
 val var_name : t -> int -> string
-val level_of_var : t -> string -> int option
 
 val flops_per_iteration : t -> int
 
@@ -30,14 +29,6 @@ val arrays : t -> string list
 val scalars : t -> string list
 (** Every scalar name appearing in the body (assigned or read),
     sorted and deduplicated. *)
-
-val assigned_scalars : t -> string list
-(** Scalars the body assigns (compiler temporaries), sorted. *)
-
-val free_scalars : t -> string list
-(** Scalars the body reads but never assigns (loop-invariant inputs),
-    sorted — these take seeded initial values in the interpreter and
-    the native backend. *)
 
 val trip_counts : t -> int array option
 (** Trip count per level when all bounds are constant. *)

@@ -58,9 +58,17 @@ let tokenize ~line s =
           if !i < n && (s.[!i] = '-' || s.[!i] = '+') then incr i;
           while !i < n && is_digit s.[!i] do incr i done
         end;
-        toks := Float (float_of_string (String.sub s start (!i - start))) :: !toks
+        let lit = String.sub s start (!i - start) in
+        match float_of_string_opt lit with
+        | Some x -> toks := Float x :: !toks
+        | None -> fail line "malformed number %s" lit
       end
-      else toks := Int (int_of_string (String.sub s start (!i - start))) :: !toks
+      else begin
+        let lit = String.sub s start (!i - start) in
+        match int_of_string_opt lit with
+        | Some k -> toks := Int k :: !toks
+        | None -> fail line "integer literal %s out of range" lit
+      end
     end
     else if is_ident_char c && not (is_digit c) then begin
       let start = !i in

@@ -38,11 +38,6 @@ let message nest = function
         (Aref.base site.Site.ref_)
         coef max_coefficient
 
-let locate nest = function
-  | Bad_step l -> Loc.level ~nest:(Nest.name nest) l.Loop.level
-  | Bad_coefficient { site; _ } ->
-      Loc.stmt ~nest:(Nest.name nest) ~site:site.Site.id site.Site.stmt
-
 let check nest =
   match find_violation nest with
   | None -> Ok ()

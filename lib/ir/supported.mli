@@ -28,9 +28,5 @@ val find_violation : Nest.t -> violation option
 val message : Nest.t -> violation -> string
 (** Human-readable description, prefixed with the nest name. *)
 
-val locate : Nest.t -> violation -> Loc.t
-(** The violation's structured location: the loop level for
-    [Bad_step], the statement and site for [Bad_coefficient]. *)
-
 val check : Nest.t -> (unit, string) result
 (** [Ok ()] iff the nest is inside the modelled class. *)

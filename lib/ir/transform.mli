@@ -41,10 +41,6 @@ val apply_seq : t list -> Nest.t -> (Nest.t, int * t * reject) result
 (** Left-to-right composition; on rejection returns the failing step's
     index and transform alongside the reject. *)
 
-val is_identity : t -> bool
-(** Zero unroll vector, identity permutation / skew matrix, empty tile
-    spec, all-zero shifts. *)
-
 val fuse : t -> t -> t option
 (** [fuse a b] is a single transform equivalent to [a] then [b], when
     one exists: unroll vectors compose as

@@ -18,6 +18,7 @@ let mmikj ?(n = 46) () =
       loop d "J" ~level:2 ~lo:1 ~hi:n () ]
     [ aref "C" [ i; j ] <<- rd "C" [ i; j ] +: (rd "A" [ i; k ] *: rd "B" [ k; j ]) ]
 
+(* [B(I,J) = A(J,I)] — no reuse to exploit, a tiling candidate. *)
 let transpose ?(n = 130) () =
   let d = 2 in
   let j = var d 0 and i = var d 1 in
@@ -25,6 +26,7 @@ let transpose ?(n = 130) () =
     [ loop d "J" ~level:0 ~lo:1 ~hi:n (); loop d "I" ~level:1 ~lo:1 ~hi:n () ]
     [ aref "B" [ i; j ] <<- rd "A" [ j; i ] ]
 
+(* 3-D 7-point stencil (the 3-D jacobi). *)
 let stencil27 ?(n = 34) () =
   let d = 3 in
   let k = var d 0 and j = var d 1 and i = var d 2 in
@@ -50,6 +52,7 @@ let conv2d ?(n = 40) ?(k = 3) () =
     [ aref "OUT" [ i; j ]
       <<- rd "OUT" [ i; j ] +: (rd "IMG" [ i ++$ p; j ++$ q ] *: rd "KER" [ p; q ]) ]
 
+(* LU rank-1 update with split factors (the gmtry.3 shape at depth 3). *)
 let lufact ?(n = 40) () =
   let d = 3 in
   let k = var d 0 and j = var d 1 and i = var d 2 in
@@ -59,6 +62,7 @@ let lufact ?(n = 40) () =
       loop d "I" ~level:2 ~lo:1 ~hi:n () ]
     [ aref "A" [ i; j ] <<- rd "A" [ i; j ] -: (rd "L" [ i; k ] *: rd "U" [ k; j ]) ]
 
+(* Dot-product reduction under an outer batch loop. *)
 let dot ?(n = 130) () =
   let d = 2 in
   let j = var d 0 and i = var d 1 in
@@ -66,6 +70,7 @@ let dot ?(n = 130) () =
     [ loop d "J" ~level:0 ~lo:1 ~hi:n (); loop d "I" ~level:1 ~lo:1 ~hi:n () ]
     [ aref "S" [ j ] <<- rd "S" [ j ] +: (rd "X" [ i; j ] *: rd "Y" [ i; j ]) ]
 
+(* Banded triad: [Y(I,J) = Y(I,J) + A(J) * X(I,J-1) + B(J) * X(I,J+1)]. *)
 let saxpy_bands ?(n = 130) () =
   let d = 2 in
   let j = var d 0 and i = var d 1 in

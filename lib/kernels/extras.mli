@@ -11,23 +11,8 @@ val mmijk : ?n:int -> unit -> Nest.t
 val mmikj : ?n:int -> unit -> Nest.t
 (** Matrix multiply in IKJ order. *)
 
-val transpose : ?n:int -> unit -> Nest.t
-(** [B(I,J) = A(J,I)] — no reuse to exploit, a tiling candidate. *)
-
-val stencil27 : ?n:int -> unit -> Nest.t
-(** 3-D 7-point stencil (the 3-D jacobi). *)
-
 val conv2d : ?n:int -> ?k:int -> unit -> Nest.t
 (** 2-D convolution with a [k x k] kernel (4-deep nest, coupled-free). *)
-
-val lufact : ?n:int -> unit -> Nest.t
-(** LU rank-1 update with split factors (the gmtry.3 shape at depth 3). *)
-
-val dot : ?n:int -> unit -> Nest.t
-(** Dot-product reduction under an outer batch loop. *)
-
-val saxpy_bands : ?n:int -> unit -> Nest.t
-(** Banded triad: [Y(I,J) = Y(I,J) + A(J) * X(I,J-1) + B(J) * X(I,J+1)]. *)
 
 val skewrec : ?n:int -> unit -> Nest.t
 (** Anti-diagonal recurrence [A(I,J) = A(I-1,J+1)*S + B(I,J)]: the

@@ -29,8 +29,6 @@ type geometry_error = { level : string; reason : string }
 let geometry_message e =
   Printf.sprintf "cache geometry (%s): %s" e.level e.reason
 
-let pp_geometry_error ppf e = Format.pp_print_string ppf (geometry_message e)
-
 (* One level's shape: positive line and associativity, size a positive
    multiple of [line * assoc] (so the set count is a whole number). *)
 let validate_level_shape ~level ~size ~line ~assoc =

@@ -52,7 +52,6 @@ type geometry_error = {
     (UJ030). *)
 
 val geometry_message : geometry_error -> string
-val pp_geometry_error : Format.formatter -> geometry_error -> unit
 
 val validate_levels : Level.t list -> (unit, geometry_error) result
 (** Each level's size must be a positive multiple of [line * assoc], and

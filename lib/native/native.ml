@@ -241,14 +241,3 @@ let check_choice ?(repeats = 3) ?(seed = Interp.default_seed) ?tol tc
             measured_speedup =
               (if t_unrolled > 0.0 then t_orig /. t_unrolled else 1.0) }
       | Ok _ -> failwith "native program returned wrong unit count")
-
-let check_choice_to_json c =
-  Json.Obj
-    [ ("kernel", Json.Str c.name);
-      ("u", Json.ints (Ujam_linalg.Vec.to_list c.u));
-      ("clamped", Json.Bool c.clamped);
-      ("equivalent", Json.Bool c.equivalent);
-      ("max_rel_err", Json.Float c.max_rel_err);
-      ("seconds_original", Json.Float c.seconds_original);
-      ("seconds_transformed", Json.Float c.seconds_transformed);
-      ("measured_speedup", Json.Float c.measured_speedup) ]

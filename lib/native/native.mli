@@ -75,5 +75,3 @@ val check_choice :
     check both against the interpreter, and measure the speedup the
     tables promised.  All failures (no usable transform, compile error,
     runtime error) are typed [Native]-stage errors. *)
-
-val check_choice_to_json : choice_check -> Ujam_obs.Json.t

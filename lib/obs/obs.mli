@@ -70,7 +70,6 @@ module Histogram : sig
   (** Associative (and commutative) bucket-count sum; the result is a
       fresh unregistered histogram carrying the left name. *)
 
-  val summary_to_json : summary -> Json.t
   val name : t -> string
 
   val bucket_of : float -> int

@@ -26,7 +26,3 @@ let fields =
   [ ("memory_ops", fun c -> c.memory_ops);
     ("registers", fun c -> c.registers);
     ("flops", fun c -> c.flops) ]
-
-let pp ppf c =
-  Format.fprintf ppf "{mem=%d regs=%d flops=%d}" c.memory_ops c.registers
-    c.flops

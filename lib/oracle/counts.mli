@@ -22,5 +22,3 @@ val equal : t -> t -> bool
 
 val fields : (string * (t -> int)) list
 (** Named accessors, for per-field mismatch reports. *)
-
-val pp : Format.formatter -> t -> unit

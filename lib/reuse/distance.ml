@@ -407,11 +407,3 @@ let dominant_distance p =
   with
   | Some b -> Some b.distance
   | None -> None
-
-let pp ppf p =
-  Format.fprintf ppf "%s: n=%.0f near=%.2f@%.1f cold=%.2f wo=%.1f [%a]"
-    p.ugs.Ugs.base p.accesses p.near p.near_distance p.cold p.write_only
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-       (fun ppf b -> Format.fprintf ppf "%.2f@%.0f" b.weight b.distance))
-    p.buckets

@@ -74,5 +74,3 @@ val nest_miss_ratio :
 val dominant_distance : profile -> float option
 (** The heaviest capacity-sensitive bucket's distance — what the lint
     layer compares against level capacities ("reuse distance 1.9x L1"). *)
-
-val pp : Format.formatter -> profile -> unit

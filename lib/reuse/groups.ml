@@ -15,21 +15,6 @@ let merges_spatial ~localized (u : Ugs.t) ~c1 ~c2 =
 (* The merge predicates are equivalences on a UGS (solutions negate and
    add within the vector space), so a linear scan against class leaders
    suffices. *)
-let partition_constants ~merges cs =
-  let sorted = List.sort Vec.compare cs in
-  let classes = ref [] in
-  List.iter
-    (fun c ->
-      let rec place = function
-        | [] -> classes := !classes @ [ ref [ c ] ]
-        | cell :: rest ->
-            let leader = List.hd !cell in
-            if merges ~c1:c ~c2:leader then cell := !cell @ [ c ] else place rest
-      in
-      place !classes)
-    sorted;
-  List.map (fun cell -> !cell) !classes
-
 let partition_sites ~merges (u : Ugs.t) =
   let sorted =
     List.stable_sort

@@ -21,12 +21,4 @@ val group_spatial : localized:Subspace.t -> Ugs.t -> partition
 val count : partition -> int
 val leaders : partition -> Ujam_ir.Site.t list
 
-val merges_temporal : localized:Subspace.t -> Ugs.t -> c1:Vec.t -> c2:Vec.t -> bool
-(** The pairwise group-temporal predicate on constant vectors. *)
-
 val merges_spatial : localized:Subspace.t -> Ugs.t -> c1:Vec.t -> c2:Vec.t -> bool
-
-val partition_constants :
-  merges:(c1:Vec.t -> c2:Vec.t -> bool) -> Vec.t list -> Vec.t list list
-(** Generic partition of constant vectors under a merge predicate;
-    exposed for the unrolled-copy (brute-force) computations. *)

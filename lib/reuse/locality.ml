@@ -35,10 +35,6 @@ let nest_accesses ?groups ~line ~localized nest =
     (fun acc u -> acc +. (ugs_cost ~line ~localized u).accesses)
     0.0 groups
 
-let innermost_localized nest =
-  let d = Nest.depth nest in
-  Subspace.span_dims ~dim:d [ d - 1 ]
-
 let rank_outer_loops ?groups ~line nest =
   let d = Nest.depth nest in
   let groups =

@@ -32,8 +32,6 @@ val nest_accesses :
     precomputed UGS partition (e.g. from an analysis context) so the
     partition is not rebuilt per call. *)
 
-val innermost_localized : Ujam_ir.Nest.t -> Subspace.t
-
 val rank_outer_loops :
   ?groups:Ugs.t list -> line:int -> Ujam_ir.Nest.t -> (int * float) list
 (** Candidate outer levels ordered by the memory cost of the nest when

@@ -165,14 +165,5 @@ module Hierarchy = struct
     Array.to_list
       (Array.map (fun (l, c) -> (l, c.accesses, c.misses)) t.caches)
 
-  let miss_ratios t =
-    Array.to_list
-      (Array.map
-         (fun ((l : Level.t), c) ->
-           ( l,
-             if c.accesses = 0 then 0.0
-             else float_of_int c.misses /. float_of_int c.accesses ))
-         t.caches)
-
   let reset t = Array.iter (fun (_, c) -> reset c) t.caches
 end

@@ -68,9 +68,5 @@ module Hierarchy : sig
   val stats : t -> (Ujam_machine.Machine.Level.t * int * int) list
   (** Per level: (level, accesses, misses). *)
 
-  val miss_ratios : t -> (Ujam_machine.Machine.Level.t * float) list
-  (** Per level: misses / total references (all levels see every
-      reference, so the denominators agree). *)
-
   val reset : t -> unit
 end

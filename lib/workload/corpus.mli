@@ -17,8 +17,6 @@ type report = {
   buckets : (string * int) list; (** Table 1 rows *)
 }
 
-val analyze_routine : Generator.routine -> routine_stats
-
 val measure : Generator.routine list -> report
 (** Routines without dependences are excluded from per-routine means,
     exactly as in the paper. *)

@@ -9,6 +9,14 @@ let innermost d = Subspace.span_dims ~dim:d [ d - 1 ]
 
 let copies u = Vec.fold (fun acc x -> acc * (x + 1)) 1 u
 
+(* The (g_T, g_S) tables of every UGS, as the search reads them. *)
+let group_tables space ~localized nest =
+  List.map
+    (fun g ->
+      ( Tables.gts_exact_table space ~localized g,
+        Tables.gss_exact_table space ~localized g ))
+    (Ujam_reuse.Ugs.of_nest nest)
+
 let prop_group_counts_monotone =
   QCheck2.Test.make ~name:"invariant: group counts grow pointwise with u" ~count:60
     ~print:(fun (n, _) -> Gen.nest_print n)
@@ -16,20 +24,17 @@ let prop_group_counts_monotone =
     (fun (nest, space) ->
       let d = Nest.depth nest in
       let localized = innermost d in
-      let groups = Ujam_reuse.Ugs.of_nest nest in
+      let tables = group_tables space ~localized nest in
       let ok = ref true in
       Unroll_space.iter space (fun u ->
           Unroll_space.iter space (fun v ->
               if Vec.leq_pointwise u v then
                 List.iter
-                  (fun g ->
-                    if
-                      Tables.gts_exact space ~localized g u
-                      > Tables.gts_exact space ~localized g v
-                      || Tables.gss_exact space ~localized g u
-                         > Tables.gss_exact space ~localized g v
-                    then ok := false)
-                  groups));
+                  (fun (gt, gs) ->
+                    let get = Unroll_space.Table.get in
+                    if get gt u > get gt v || get gs u > get gs v then
+                      ok := false)
+                  tables));
       !ok)
 
 let prop_gs_le_gt_after_unroll =
@@ -38,16 +43,14 @@ let prop_gs_le_gt_after_unroll =
     (fun (nest, space) ->
       let d = Nest.depth nest in
       let localized = innermost d in
-      let groups = Ujam_reuse.Ugs.of_nest nest in
+      let pairs = group_tables space ~localized nest in
       let ok = ref true in
       Unroll_space.iter space (fun u ->
           List.iter
-            (fun g ->
-              if
-                Tables.gss_exact space ~localized g u
-                > Tables.gts_exact space ~localized g u
-              then ok := false)
-            groups);
+            (fun (gt, gs) ->
+              if Unroll_space.Table.get gs u > Unroll_space.Table.get gt u then
+                ok := false)
+            pairs);
       !ok)
 
 let prop_memory_bounded =
@@ -57,7 +60,7 @@ let prop_memory_bounded =
     (fun (nest, space) ->
       let d = Nest.depth nest in
       let localized = innermost d in
-      let mem = Rrs.memory_table space ~localized nest in
+      let _, mem, _ = Rrs.summary_tables space ~localized nest in
       let v0 = Unroll_space.Table.get mem (Vec.zero d) in
       let sites = List.length (Site.of_nest nest) in
       let ok = ref true in
@@ -72,14 +75,13 @@ let prop_registers_at_least_streams =
     (fun (nest, space) ->
       let d = Nest.depth nest in
       let localized = innermost d in
+      let streams, mem, reg = Rrs.summary_tables space ~localized nest in
       let ok = ref true in
       Unroll_space.iter space (fun u ->
-          let s =
-            Streams.summarize (Streams.of_nest_unrolled space ~localized nest u)
-          in
+          let s = Unroll_space.Table.get streams u in
           if
-            s.Streams.registers < s.Streams.streams
-            || s.Streams.streams < s.Streams.memory_ops
+            Unroll_space.Table.get reg u < s
+            || s < Unroll_space.Table.get mem u
           then ok := false);
       !ok)
 

@@ -86,6 +86,10 @@ let test_errors () =
   reject ~substring:"malformed DO" "DO = 1, 4\n  A(I) = 1.0\nENDDO";
   reject ~substring:"ENDDO" "DO I = 1, 4\n  A(I) = 1.0\nENDDO\nENDDO";
   reject ~substring:"unexpected character" "DO I = 1, 4\n  A(I) = 1.0 @ 2\nENDDO";
+  (* numeric literals the host cannot represent *)
+  reject ~substring:"out of range"
+    "DO I = 1, 99999999999999999999999\n  A(I) = 1.0\nENDDO";
+  reject ~substring:"malformed number" "DO I = 1, 4\n  A(I) = B(I) * 1e-\nENDDO";
   (* inner variable in an outer bound *)
   reject "DO I = J, 4\n  DO J = 1, 3\n    A(I,J) = 1.0\n  ENDDO\nENDDO"
 

@@ -23,23 +23,64 @@ let materialized_counts nest u =
         gs + Groups.count (Groups.group_spatial ~localized g) ))
     (0, 0) (Ugs.of_nest unrolled)
 
-let table_counts nest space u =
-  let d = Nest.depth nest in
-  let localized = innermost d in
-  List.fold_left
-    (fun (gt, gs) g ->
-      ( gt + Tables.gts_exact space ~localized g u,
-        gs + Tables.gss_exact space ~localized g u ))
-    (0, 0) (Ugs.of_nest nest)
+(* Ground truth: stream summary of the literally unrolled body. *)
+let materialized_summary nest u =
+  let unrolled = Unroll.unroll_and_jam nest u in
+  Streams.summarize
+    (Streams.of_body ~localized:(innermost (Nest.depth unrolled)) unrolled)
 
-let incremental_counts nest space u =
-  let d = Nest.depth nest in
-  let localized = innermost d in
-  List.fold_left
-    (fun (gt, gs) g ->
-      ( gt + Tables.total (Tables.gts_table space ~localized g) u,
-        gs + Tables.total (Tables.gss_table space ~localized g) u ))
-    (0, 0) (Ugs.of_nest nest)
+(* The tables the search reads (built by [Balance.prepare]), as
+   (g_T, g_S) summed over the UGSs. *)
+let exact_counts nest space =
+  let localized = innermost (Nest.depth nest) in
+  let tables =
+    List.map
+      (fun g ->
+        ( Tables.gts_exact_table space ~localized g,
+          Tables.gss_exact_table space ~localized g ))
+      (Ugs.of_nest nest)
+  in
+  fun u ->
+    List.fold_left
+      (fun (gt, gs) (t, s) ->
+        (gt + Unroll_space.Table.get t u, gs + Unroll_space.Table.get s u))
+      (0, 0) tables
+
+(* The paper's Figure 2/3 tables; cells hold per-copy counts, so the
+   group count is the prefix sum. *)
+let incremental_counts nest space =
+  let localized = innermost (Nest.depth nest) in
+  let tables =
+    List.map
+      (fun g ->
+        (Tables.gts_table space ~localized g, Tables.gss_table space ~localized g))
+      (Ugs.of_nest nest)
+  in
+  fun u ->
+    List.fold_left
+      (fun (gt, gs) (t, s) -> (gt + Tables.total t u, gs + Tables.total s u))
+      (0, 0) tables
+
+(* The stream tables the search reads, as one summary per cell. *)
+let summary_cells nest space =
+  let streams, mem, reg =
+    Rrs.summary_tables space ~localized:(innermost (Nest.depth nest)) nest
+  in
+  fun u ->
+    { Streams.streams = Unroll_space.Table.get streams u;
+      memory_ops = Unroll_space.Table.get mem u;
+      registers = Unroll_space.Table.get reg u }
+
+(* [true] when [f] holds at every vector of [space]. *)
+let everywhere space f =
+  let ok = ref true in
+  Unroll_space.iter space (fun u -> if not (f u) then ok := false);
+  !ok
+
+let print_case (nest, space) =
+  Printf.sprintf "%s\nbounds=%s" (Gen.nest_print nest)
+    (String.concat ","
+       (Array.to_list (Array.map string_of_int (Unroll_space.bounds space))))
 
 let test_paper_example () =
   (* Figure 1 of the paper: A(I,J) store and A(I-2,J) read; unrolling the
@@ -53,7 +94,8 @@ let test_paper_example () =
   in
   let space = Unroll_space.make ~bounds:[| 3; 0 |] in
   let a = List.hd (Ugs.of_nest nest) in
-  let gts u = Tables.gts_exact space ~localized:(innermost d) a u in
+  let exact = Tables.gts_exact_table space ~localized:(innermost d) a in
+  let gts u = Unroll_space.Table.get exact u in
   Alcotest.(check int) "2 GTSs originally" 2 (gts (v [ 0; 0 ]));
   Alcotest.(check int) "u=1: 4 (no merge yet)" 4 (gts (v [ 1; 0 ]));
   Alcotest.(check int) "u=2: first copy merges" 5 (gts (v [ 2; 0 ]));
@@ -72,41 +114,45 @@ let test_invariant_direction () =
   let c =
     List.find (fun (g : Ugs.t) -> String.equal g.Ugs.base "C") (Ugs.of_nest nest)
   in
-  let gts u = Tables.gts_exact space ~localized:(innermost d) c u in
+  let exact = Tables.gts_exact_table space ~localized:(innermost d) c in
+  let gts u = Unroll_space.Table.get exact u in
   Alcotest.(check int) "K-unrolling collapses" 1 (gts (v [ 0; 3; 0 ]));
   Alcotest.(check int) "J-unrolling multiplies" 4 (gts (v [ 3; 0; 0 ]));
   Alcotest.(check int) "mixed" 4 (gts (v [ 3; 3; 0 ]))
 
-let test_kernel_suite_exact_vs_materialized () =
+(* Every catalogue kernel over a uniform box of [bound] on each outer
+   level: [check name u] runs at every cell. *)
+let over_catalogue ~bound check =
   List.iter
     (fun (e : Ujam_kernels.Catalogue.entry) ->
       let nest = e.Ujam_kernels.Catalogue.build ~n:12 () in
       let d = Nest.depth nest in
-      let bounds = Array.make d 2 in
+      let bounds = Array.make d bound in
       bounds.(d - 1) <- 0;
       let space = Unroll_space.make ~bounds in
+      let check_cell = check nest space in
       Unroll_space.iter space (fun u ->
-          let gt_m, gs_m = materialized_counts nest u in
-          let gt_t, gs_t = table_counts nest space u in
-          Alcotest.(check (pair int int))
+          check_cell
             (Printf.sprintf "%s at %s" e.Ujam_kernels.Catalogue.name (Vec.to_string u))
-            (gt_m, gs_m) (gt_t, gs_t)))
+            u))
     Ujam_kernels.Catalogue.all
 
+let test_kernel_suite_exact_vs_materialized () =
+  over_catalogue ~bound:2 (fun nest space ->
+      let exact = exact_counts nest space in
+      let summary = summary_cells nest space in
+      fun name u ->
+        Alcotest.(check (pair int int))
+          name (materialized_counts nest u) (exact u);
+        Alcotest.(check bool)
+          (name ^ " streams") true
+          (materialized_summary nest u = summary u))
+
 let test_kernel_suite_incremental_vs_exact () =
-  List.iter
-    (fun (e : Ujam_kernels.Catalogue.entry) ->
-      let nest = e.Ujam_kernels.Catalogue.build ~n:12 () in
-      let d = Nest.depth nest in
-      let bounds = Array.make d 3 in
-      bounds.(d - 1) <- 0;
-      let space = Unroll_space.make ~bounds in
-      Unroll_space.iter space (fun u ->
-          Alcotest.(check (pair int int))
-            (Printf.sprintf "%s at %s" e.Ujam_kernels.Catalogue.name (Vec.to_string u))
-            (table_counts nest space u)
-            (incremental_counts nest space u)))
-    Ujam_kernels.Catalogue.all
+  over_catalogue ~bound:3 (fun nest space ->
+      let exact = exact_counts nest space in
+      let incremental = incremental_counts nest space in
+      fun name u -> Alcotest.(check (pair int int)) name (exact u) (incremental u))
 
 let test_rrs_partition () =
   (* vpenta: F(I,J) read+write split at the definition; F(I,J-1) and
@@ -134,7 +180,7 @@ let test_rrs_paper_figure6 () =
         aref "A" [ i +$ 1; j ] <<- rd "B" [ i; j ] *: f 2.0 ]
   in
   let space = Unroll_space.make ~bounds:[| 2; 0 |] in
-  let mem = Rrs.memory_table space ~localized:(innermost d) nest in
+  let _, mem, _ = Rrs.summary_tables space ~localized:(innermost d) nest in
   (* u=0: one A load (the two uses share it), the A def's store, the B
      def's store (its same-iteration read comes from the register) *)
   Alcotest.(check int) "original memory ops" 3
@@ -159,109 +205,56 @@ let test_register_table_spans () =
       [ aref "A" [ i; j ] <<- rd "A" [ i; j -$ 2 ] +: f 1.0 ]
   in
   let space = Unroll_space.make ~bounds:[| 1; 0 |] in
-  let reg = Rrs.register_table space ~localized:(innermost d) nest in
+  let _, _, reg = Rrs.summary_tables space ~localized:(innermost d) nest in
   Alcotest.(check int) "lag-2 chain needs 3 registers" 3
     (Unroll_space.Table.get reg (v [ 0; 0 ]));
   Alcotest.(check int) "independent copies double it" 6
     (Unroll_space.Table.get reg (v [ 1; 0 ]))
 
+(* The properties below compare the tables the search reads with the
+   materialised unrolled body, and the paper's incremental algorithms
+   with those tables, on the same random separable-SIV nests. *)
+
 let prop_streams_match_materialization =
-  QCheck2.Test.make ~name:"tables: streams == materialised body (random SIV nests)"
-    ~count:60
-    ~print:(fun (nest, space) ->
-      Printf.sprintf "%s\nbounds=%s" (Gen.nest_print nest)
-        (String.concat ","
-           (Array.to_list (Array.map string_of_int (Unroll_space.bounds space)))))
-    (Gen.nest_and_space_gen ())
+  QCheck2.Test.make
+    ~name:"tables: streams == materialised body (random SIV nests)" ~count:60
+    ~print:print_case (Gen.nest_and_space_gen ())
     (fun (nest, space) ->
-      let d = Nest.depth nest in
-      let localized = innermost d in
-      let ok = ref true in
-      Unroll_space.iter space (fun u ->
-          let m =
-            Streams.summarize
-              (Streams.of_body ~localized (Unroll.unroll_and_jam nest u))
-          in
-          let t =
-            Streams.summarize (Streams.of_nest_unrolled space ~localized nest u)
-          in
-          if m <> t then ok := false);
-      !ok)
+      let summary = summary_cells nest space in
+      everywhere space (fun u -> materialized_summary nest u = summary u))
 
 let prop_groups_match_materialization =
   QCheck2.Test.make ~name:"tables: exact group counts == materialised body"
-    ~count:60
-    ~print:(fun (nest, space) ->
-      Printf.sprintf "%s\nbounds=%s" (Gen.nest_print nest)
-        (String.concat ","
-           (Array.to_list (Array.map string_of_int (Unroll_space.bounds space)))))
-    (Gen.nest_and_space_gen ())
+    ~count:60 ~print:print_case (Gen.nest_and_space_gen ())
     (fun (nest, space) ->
-      let ok = ref true in
-      Unroll_space.iter space (fun u ->
-          if materialized_counts nest u <> table_counts nest space u then ok := false);
-      !ok)
+      let exact = exact_counts nest space in
+      everywhere space (fun u -> materialized_counts nest u = exact u))
 
 let prop_incremental_matches_exact =
   QCheck2.Test.make ~name:"tables: incremental tables == exact counts" ~count:60
-    ~print:(fun (nest, space) ->
-      Printf.sprintf "%s\nbounds=%s" (Gen.nest_print nest)
-        (String.concat ","
-           (Array.to_list (Array.map string_of_int (Unroll_space.bounds space)))))
-    (Gen.nest_and_space_gen ())
+    ~print:print_case (Gen.nest_and_space_gen ())
     (fun (nest, space) ->
-      let d = Nest.depth nest in
-      let localized = innermost d in
+      let localized = innermost (Nest.depth nest) in
       (* the incremental algorithm shares the paper's domain restriction:
          merge keys must be orientable (Sec. 5) *)
       QCheck2.assume
         (List.for_all
            (fun g -> Tables.gts_applicable space ~localized g)
            (Ugs.of_nest nest));
-      let ok = ref true in
-      Unroll_space.iter space (fun u ->
-          if incremental_counts nest space u <> table_counts nest space u then
-            ok := false);
-      !ok)
+      let exact = exact_counts nest space in
+      let incremental = incremental_counts nest space in
+      everywhere space (fun u -> incremental u = exact u))
 
 let prop_incremental_rrs_matches_streams =
   QCheck2.Test.make ~name:"tables: Figure-5 RRS table == stream count" ~count:60
-    ~print:(fun (nest, space) ->
-      Printf.sprintf "%s\nbounds=%s" (Gen.nest_print nest)
-        (String.concat ","
-           (Array.to_list (Array.map string_of_int (Unroll_space.bounds space)))))
-    (Gen.nest_and_space_gen ())
+    ~print:print_case (Gen.nest_and_space_gen ())
     (fun (nest, space) ->
-      let d = Nest.depth nest in
-      let localized = innermost d in
-      let exact = Rrs.stream_table space ~localized nest in
-      let inc = Rrs.incremental_rrs_table space ~localized nest in
-      let ok = ref true in
-      Unroll_space.iter space (fun u ->
-          if Unroll_space.Table.get exact u <> Unroll_space.Table.get inc u then
-            ok := false);
-      !ok)
-
-let prop_summary_fn_matches_streams =
-  QCheck2.Test.make
-    ~name:"tables: summary closure == summarised stream construction" ~count:60
-    ~print:(fun (nest, space) ->
-      Printf.sprintf "%s\nbounds=%s" (Gen.nest_print nest)
-        (String.concat ","
-           (Array.to_list (Array.map string_of_int (Unroll_space.bounds space)))))
-    (Gen.nest_and_space_gen ())
-    (fun (nest, space) ->
-      let d = Nest.depth nest in
-      let localized = innermost d in
-      let ok = ref true in
-      List.iter
-        (fun g ->
-          let fast = Streams.unrolled_summary_fn space ~localized g in
-          let slow = Streams.unrolled_fn space ~localized g in
-          Unroll_space.iter space (fun u ->
-              if fast u <> Streams.summarize (slow u) then ok := false))
-        (Ugs.of_nest nest);
-      !ok)
+      let summary = summary_cells nest space in
+      let inc =
+        Rrs.incremental_rrs_table space ~localized:(innermost (Nest.depth nest)) nest
+      in
+      everywhere space (fun u ->
+          Unroll_space.Table.get inc u = (summary u).Streams.streams))
 
 let suite =
   [ Alcotest.test_case "paper Figure 1 example" `Quick test_paper_example;
@@ -274,7 +267,6 @@ let suite =
     Alcotest.test_case "paper Figure 6 example" `Quick test_rrs_paper_figure6;
     Alcotest.test_case "register spans" `Quick test_register_table_spans;
     Gen.to_alcotest prop_streams_match_materialization;
-    Gen.to_alcotest prop_summary_fn_matches_streams;
     Gen.to_alcotest prop_groups_match_materialization;
     Gen.to_alcotest prop_incremental_matches_exact;
     Gen.to_alcotest prop_incremental_rrs_matches_streams ]

@@ -52,11 +52,10 @@ let test_table_regions () =
   Alcotest.(check int) "inside" 1 (Unroll_space.Table.get t (v [ 2; 1; 0 ]));
   Alcotest.(check int) "outside" 0 (Unroll_space.Table.get t (v [ 2; 0; 0 ]));
   let t2 = Unroll_space.Table.create s 0 in
-  Unroll_space.Table.add_region t2 ~from_:(v [ 1; 0; 0 ])
-    ~excluding:(Some (v [ 2; 0; 0 ])) 1;
-  Alcotest.(check int) "in region" 1 (Unroll_space.Table.get t2 (v [ 1; 2; 0 ]));
-  Alcotest.(check int) "excluded" 0 (Unroll_space.Table.get t2 (v [ 2; 2; 0 ]));
-  Alcotest.(check int) "below" 0 (Unroll_space.Table.get t2 (v [ 0; 0; 0 ]))
+  Unroll_space.Table.add_cover t2 [ v [ 2; 0; 0 ]; v [ 0; 2; 0 ] ] 1;
+  Alcotest.(check int) "in one box" 1 (Unroll_space.Table.get t2 (v [ 2; 1; 0 ]));
+  Alcotest.(check int) "in both, once" 1 (Unroll_space.Table.get t2 (v [ 2; 2; 0 ]));
+  Alcotest.(check int) "below" 0 (Unroll_space.Table.get t2 (v [ 1; 1; 0 ]))
 
 let test_prefix_sum () =
   let s = Unroll_space.make ~bounds:[| 2; 2; 0 |] in
@@ -67,23 +66,40 @@ let test_prefix_sum () =
   Alcotest.(check int) "prefix box" 6 (Unroll_space.Table.prefix_sum t (v [ 1; 2; 0 ]));
   Alcotest.(check int) "prefix full" 9 (Unroll_space.Table.prefix_sum t (v [ 2; 2; 0 ]))
 
-let test_merge_add () =
-  let s = Unroll_space.make ~bounds:[| 1; 0 |] in
-  let a = Unroll_space.Table.create s 1 and b = Unroll_space.Table.create s 2 in
-  let c = Unroll_space.Table.merge_add a b in
-  Alcotest.(check int) "pointwise sum" 3 (Unroll_space.Table.get c (v [ 1; 0 ]))
-
 (* ------------------------------------------------------------------ *)
 (* QCheck parity: random write/read programs executed against the sweep
    engine and the per-cell [Reference] oracle must agree exactly, at
    every cell, for both [get] and [prefix_sum].  Region corners range
    one step outside the box on both sides to exercise the clamping. *)
 
+(* The per-cell table semantics the sweep engine must reproduce: every
+   region write and every prefix sum is a full-space scan.  Cells are
+   keyed by vector, independently of the engine's dense indexing. *)
+module Reference = struct
+  module Cells = Map.Make (Vec)
+
+  type t = { space : Unroll_space.t; mutable cells : int Cells.t }
+
+  let create space init =
+    { space; cells = Unroll_space.fold space Cells.empty (fun m u -> Cells.add u init m) }
+
+  let get t u = Cells.find u t.cells
+  let set t u x = t.cells <- Cells.add u x t.cells
+  let add t u x = set t u (get t u + x)
+  let add_where t p x = Unroll_space.iter t.space (fun u -> if p u then add t u x)
+  let add_from t lo x = add_where t (Vec.leq_pointwise lo) x
+
+  let add_cover t ps x =
+    add_where t (fun u -> List.exists (fun p -> Vec.leq_pointwise p u) ps) x
+
+  let prefix_sum t v =
+    Cells.fold (fun u x s -> if Vec.leq_pointwise u v then s + x else s) t.cells 0
+end
+
 type op =
   | Set of Vec.t * int
   | Add of Vec.t * int
   | Add_from of Vec.t * int
-  | Add_region of Vec.t * Vec.t option * int
   | Add_cover of Vec.t list * int
   | Read of Vec.t  (** forces a materialisation mid-program *)
 
@@ -96,10 +112,6 @@ let op_to_string = function
   | Set (u, x) -> Printf.sprintf "set %s %d" (vec_to_string u) x
   | Add (u, x) -> Printf.sprintf "add %s %d" (vec_to_string u) x
   | Add_from (u, x) -> Printf.sprintf "add_from %s %d" (vec_to_string u) x
-  | Add_region (f, e, x) ->
-      Printf.sprintf "add_region %s %s %d" (vec_to_string f)
-        (match e with None -> "-" | Some e -> vec_to_string e)
-        x
   | Add_cover (ps, x) ->
       Printf.sprintf "add_cover [%s] %d"
         (String.concat " " (List.map vec_to_string ps))
@@ -134,10 +146,6 @@ let program_gen =
       [ (2, map2 (fun u x -> Set (u, x)) in_space delta);
         (2, map2 (fun u x -> Add (u, x)) in_space delta);
         (4, map2 (fun u x -> Add_from (u, x)) near_space delta);
-        ( 4,
-          map3
-            (fun f e x -> Add_region (f, e, x))
-            near_space (option near_space) delta );
         ( 3,
           map2
             (fun ps x -> Add_cover (ps, x))
@@ -155,38 +163,35 @@ let prop_table_parity =
     ~count:1000 ~print:program_to_string program_gen
     (fun (space, init, ops) ->
       let t = Unroll_space.Table.create space init in
-      let r = Unroll_space.Reference.create space init in
+      let r = Reference.create space init in
       let ok = ref true in
       List.iter
         (fun op ->
           match op with
           | Set (u, x) ->
               Unroll_space.Table.set t u x;
-              Unroll_space.Reference.set r u x
+              Reference.set r u x
           | Add (u, x) ->
               Unroll_space.Table.add t u x;
-              Unroll_space.Reference.add r u x
+              Reference.add r u x
           | Add_from (u, x) ->
               Unroll_space.Table.add_from t u x;
-              Unroll_space.Reference.add_from r u x
-          | Add_region (from_, excluding, x) ->
-              Unroll_space.Table.add_region t ~from_ ~excluding x;
-              Unroll_space.Reference.add_region r ~from_ ~excluding x
+              Reference.add_from r u x
           | Add_cover (ps, x) ->
               Unroll_space.Table.add_cover t ps x;
-              Unroll_space.Reference.add_cover r ps x
+              Reference.add_cover r ps x
           | Read u ->
               if
-                Unroll_space.Table.get t u <> Unroll_space.Reference.get r u
+                Unroll_space.Table.get t u <> Reference.get r u
                 || Unroll_space.Table.prefix_sum t u
-                   <> Unroll_space.Reference.prefix_sum r u
+                   <> Reference.prefix_sum r u
               then ok := false)
         ops;
       Unroll_space.iter space (fun u ->
           if
-            Unroll_space.Table.get t u <> Unroll_space.Reference.get r u
+            Unroll_space.Table.get t u <> Reference.get r u
             || Unroll_space.Table.prefix_sum t u
-               <> Unroll_space.Reference.prefix_sum r u
+               <> Reference.prefix_sum r u
           then ok := false);
       !ok)
 
@@ -266,7 +271,6 @@ let suite =
     Alcotest.test_case "table basics" `Quick test_table;
     Alcotest.test_case "table regions" `Quick test_table_regions;
     Alcotest.test_case "prefix sum" `Quick test_prefix_sum;
-    Alcotest.test_case "merge add" `Quick test_merge_add;
     Gen.to_alcotest prop_table_parity;
     Gen.to_alcotest prop_iter_pruned;
     Alcotest.test_case "search pruning sound (19 kernels x 2 machines)" `Quick
