@@ -748,9 +748,7 @@ let emit_cmd =
     let text = Ujam_native.Emit.program [ spec ] in
     (match out with
     | Some path ->
-        let oc = open_out path in
-        output_string oc text;
-        close_out oc;
+        if not (Obs.write_file path text) then exit 1;
         Format.eprintf "ujc emit: wrote %s (%d variant%s)@." path
           (List.length variants)
           (if List.length variants = 1 then "" else "s")
@@ -988,17 +986,18 @@ let trace_cmd =
     end;
     Obs.enable ();
     let code = !dispatch_ref (Array.of_list ("ujc" :: args)) in
-    let json = Obs.Span.to_chrome () in
-    let oc = open_out out in
-    output_string oc (Json.to_string json);
-    close_out oc;
-    (match metrics with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Json.to_string (Obs.dump ()));
-        close_out oc;
-        Format.printf "trace: wrote metrics to %s@." path);
+    let wrote_trace =
+      Obs.write_file out (Json.to_string (Obs.Span.to_chrome ()))
+    in
+    let wrote_metrics =
+      match metrics with
+      | None -> true
+      | Some path ->
+          let ok = Obs.write_file path (Json.to_string (Obs.dump ())) in
+          if ok then Format.printf "trace: wrote metrics to %s@." path;
+          ok
+    in
+    if not wrote_trace then exit 1;
     (match validate_trace out with
     | Error e ->
         Format.eprintf "trace: %s is NOT a well-formed Chrome trace: %s@." out e;
@@ -1014,6 +1013,7 @@ let trace_cmd =
           (List.length events)
           (String.concat " " stages);
         Format.printf "trace: %s is well-formed Chrome trace JSON@." out);
+    if not wrote_metrics then exit 1;
     if code <> 0 then exit code
   in
   Cmd.v
@@ -1040,12 +1040,6 @@ let serve_cmd =
       & info [ "stdio" ]
           ~doc:"Read request lines from stdin and answer on stdout               (the default when $(b,--socket) is absent).")
   in
-  let smoke_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "smoke" ] ~docv:"N"
-          ~doc:"Self-drive: start a daemon on a fresh temp socket, replay a               deterministic mixed workload of $(docv) requests over two               interleaved clients (repeats, malformed, unsupported,               oversized and timeout probes included), and report health.")
-  in
   let max_loops_arg =
     Arg.(
       value & opt int 2
@@ -1058,17 +1052,11 @@ let serve_cmd =
       & info [ "cache-size" ] ~docv:"N"
           ~doc:"Result-cache capacity in entries (LRU beyond that).")
   in
-  let batch_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "batch" ] ~docv:"N"
-          ~doc:"Max cache-miss requests dispatched to the domain pool per               round.")
-  in
   let cache_file_arg =
     Arg.(
       value & opt (some string) None
       & info [ "cache-file" ] ~docv:"FILE"
-          ~doc:"Persist the result cache to $(docv) on shutdown and reload               it at startup, so warm-cache performance survives restarts.               A missing file starts cold.")
+          ~doc:"Persist the result cache to $(docv) on shutdown and reload               it at startup, so warm-cache performance survives restarts.               A missing or unreadable file starts cold; a file that cannot               be written at shutdown makes the exit status 1.")
   in
   let timeout_arg =
     Arg.(
@@ -1099,39 +1087,26 @@ let serve_cmd =
       value & flag
       & info [ "quiet" ] ~doc:"Suppress the stderr lifecycle summary.")
   in
-  let run machine bound max_loops model seq domains socket stdio smoke
-      cache_size cache_file batch timeout_ms max_request_bytes metrics_out
-      trace_out quiet =
-    match smoke with
-    | Some n ->
-        let r = Serve.smoke ~requests:(max 1 n) ~domains () in
-        Format.printf "%a@." Serve.pp_smoke r;
-        if Serve.smoke_healthy r then Format.printf "serve smoke: ok@."
-        else begin
-          Format.printf "serve smoke: FAILED@.";
-          exit 1
-        end
-    | None ->
-        if socket = None && not stdio then begin
-          Format.eprintf
-            "ujc serve: no transport; pass --socket PATH and/or --stdio (or --smoke N)@.";
-          exit 2
-        end;
-        let cfg =
-          { Serve.machine; bound; max_loops; model; seq; domains; cache_size;
-            cache_file; batch; timeout_ms; max_request_bytes; metrics_out;
-            trace_out; quiet }
-        in
-        let (_ : Serve.summary) = Serve.run ?listen:socket ~stdio cfg in
-        ()
+  let run machine bound max_loops model seq domains socket stdio cache_size
+      cache_file timeout_ms max_request_bytes metrics_out trace_out quiet =
+    if socket = None && not stdio then begin
+      Format.eprintf
+        "ujc serve: no transport; pass --socket PATH and/or --stdio@.";
+      exit 2
+    end;
+    let cfg =
+      { Serve.machine; bound; max_loops; model; seq; domains; cache_size;
+        cache_file; timeout_ms; max_request_bytes; metrics_out; trace_out;
+        quiet }
+    in
+    if (Serve.run ?listen:socket ~stdio cfg).Serve.dumps_failed > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the persistent optimization service: line-delimited JSON              requests (optimize, explain, lint, metrics, ping, shutdown)              over a Unix socket and/or stdio, answered from a              content-addressed result cache and a Domain worker pool.")
     Term.(const run $ machine_arg $ bound_arg 4 $ max_loops_arg $ model_term ()
           $ seq_arg $ domains_arg $ socket_arg $ stdio_flag
-          $ smoke_arg $ cache_size_arg $ cache_file_arg $ batch_arg
-          $ timeout_arg $ max_bytes_arg $ metrics_out_arg $ trace_out_arg
+          $ cache_size_arg $ cache_file_arg $ timeout_arg $ max_bytes_arg $ metrics_out_arg $ trace_out_arg
           $ quiet_flag)
 
 let () =

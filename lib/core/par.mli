@@ -1,12 +1,9 @@
 (** Deterministic Domain-parallel map over an array of jobs.
 
-    Work is distributed as contiguous per-domain index ranges with
-    half-range stealing: owners pop from the low end of their own
-    deque, idle domains steal the high half of a victim's remaining
-    range.  Each result is written into its input slot, so the output
-    ordering equals the input ordering regardless of domain count or
-    scheduling — running with [domains:1] and [domains:n] is
-    byte-identical. *)
+    Domains claim jobs from one shared atomic index.  Each result is
+    written into its input slot, so the output ordering equals the
+    input ordering regardless of domain count or scheduling — running
+    with [domains:1] and [domains:n] is byte-identical. *)
 
 val clamp_domains : int -> int -> int
 (** [clamp_domains domains n] bounds the worker count to [1..n]. *)
@@ -14,12 +11,9 @@ val clamp_domains : int -> int -> int
 val map :
   ?domains:int ->
   ?on_claim:(remaining:int -> unit) ->
-  ?on_steal:(thief:int -> victim:int -> count:int -> unit) ->
   f:(domain:int -> 'a -> 'b) ->
   'a array ->
   'b array
 (** [on_claim ~remaining] fires as each job is claimed (from the
     claiming domain) with the number of still-unclaimed jobs — the
-    hook the engine uses for queue-occupancy metrics.  [on_steal]
-    fires on the thief after it has taken [count] jobs from [victim]'s
-    deque (never its own); it never fires with [domains:1]. *)
+    hook the engine uses for queue-occupancy metrics. *)

@@ -9,7 +9,6 @@ module Diagnostic = Ujam_analysis.Diagnostic
 let m_nests_ok = Obs.counter "engine.nests.ok"
 let m_nests_failed = Obs.counter "engine.nests.failed"
 let m_routines = Obs.counter "engine.jobs.claimed"
-let m_steals = Obs.counter "engine.jobs.stolen"
 let g_queue = Obs.gauge "engine.queue.remaining"
 let h_routine = Obs.histogram "engine.routine_s"
 
@@ -51,160 +50,100 @@ type corpus_report = {
 
 let default_model : (module Model.MODEL) = (module Model.Ugs_tables)
 
-let outcome_with_name ~routine nest outcome =
-  match outcome with
-  | Ok r -> Ok { r with nest_name = Nest.name nest }
-  | Error e -> Error { e with Error.routine }
-
-(* Process-wide outcome memo, keyed by the content fingerprint.  A
-   repeated problem (however spelled) costs one canonical digest
-   instead of one analysis — repeated structures across a corpus, a
-   fuzz run, or a serve session are analyzed once per process
-   (LRU-bounded).
-
-   Only {e clean} Ok outcomes are memoized: diagnostics and sequence
-   notes embed the originating nest's name, which must not leak into a
-   different nest's report ([outcome_with_name] patches the top-level
-   name only).  Errors also recompute — they are rare and carry
-   routine-specific context.  Guarded by its own mutex ([Result_cache]
-   itself is not thread-safe). *)
-
-let memo_lock = Mutex.create ()
-let memo : nest_outcome Result_cache.t = Result_cache.create ~capacity:8192 ()
-
-let memo_find key =
-  Mutex.lock memo_lock;
-  let r = Result_cache.find memo key in
-  Mutex.unlock memo_lock;
-  r
-
-let memo_store key v =
-  Mutex.lock memo_lock;
-  Result_cache.store memo key v;
-  Mutex.unlock memo_lock
-
-let memo_clear () =
-  Mutex.lock memo_lock;
-  Result_cache.clear memo;
-  Mutex.unlock memo_lock
+let memo_clear () = ()
 
 let memo_stats () =
-  Mutex.lock memo_lock;
-  let s = Result_cache.stats memo in
-  Mutex.unlock memo_lock;
-  s
+  { Result_cache.hits = 0; misses = 0; evictions = 0; size = 0; capacity = 0 }
 
 let add_timings (acc : Analysis_ctx.timings) (t : Analysis_ctx.timings) =
   Array.iteri (fun i dt -> acc.(i) <- acc.(i) +. dt) t
 
-let analyze_fresh ?into ~bound ~max_loops ~model ~seq ~machine ~routine nest =
-  let module M = (val model : Model.MODEL) in
-  let ( let* ) = Result.bind in
-  let outcome =
-    let* () = Error.check_supported ~routine nest in
-    let guard stage f = Error.guard ~stage ~routine f in
-    (* Sequence mode: when the safety fence binds, look for a short
-       skew/retime prefix that legalizes more of the unroll space; the
-       rest of the pipeline then runs on the legalized nest, carrying
-       the chosen steps (and their UJ026 certificate) in the report. *)
-    let* legalized =
-      if not seq then Ok None
-      else
-        guard Error.Search (fun () ->
-            let o =
-              Ujam_analysis.Seqsearch.search ~bound ~max_loops ~machine nest
-            in
-            if o.Ujam_analysis.Seqsearch.sequence = [] then None else Some o)
-    in
-    let target, sequence, seq_diags =
-      match legalized with
-      | None -> (nest, [], [])
-      | Some o ->
-          ( o.Ujam_analysis.Seqsearch.nest,
-            o.Ujam_analysis.Seqsearch.sequence,
-            o.Ujam_analysis.Seqsearch.diagnostics )
-    in
-    let ctx = Analysis_ctx.create ~bound ~max_loops ~machine target in
-    let result =
-      let* _safety = guard Error.Graph (fun () -> Analysis_ctx.safety ctx) in
-      let* balance = guard Error.Tables (fun () -> Analysis_ctx.balance ctx) in
-      (* Monotonicity guard: strategies that prune the search box rely
-         on the register table being pointwise non-decreasing.  Certify
-         it (O(d*|U|) lookups); on failure degrade that strategy to the
-         exhaustive scan and surface the violation as a UJ010 warning
-         instead of risking a wrong vector. *)
-      let* violation =
-        if M.prunes then
-          guard Error.Search (fun () ->
-              Ujam_analysis.Monotone.check_registers balance)
-        else Ok None
-      in
-      let* choice =
-        guard Error.Search (fun () ->
-            M.analyze ~exhaustive:(violation <> None) ctx)
-      in
-      let* original =
-        guard Error.Search (fun () ->
-            Search.evaluate ~cache:M.cache balance
-              (Vec.zero (Nest.depth target)))
-      in
-      let* speedup =
-        guard Error.Search (fun () ->
-            Driver.speedup ~machine balance ~original ~choice)
-      in
-      Ok
-        { nest_name = Nest.name nest;
-          model = M.name;
-          u = choice.Search.u;
-          balance_before = original.Search.balance;
-          balance_after = choice.Search.balance;
-          objective = choice.Search.objective;
-          registers = choice.Search.registers;
-          memory_ops = choice.Search.memory_ops;
-          flops = choice.Search.flops;
-          speedup;
-          sequence;
-          diagnostics =
-            (seq_diags
-            @
-            match violation with
-            | Some v ->
-                [ Ujam_analysis.Monotone.diagnostic ~nest:(Nest.name nest) v ]
-            | None -> []) }
-    in
-    Option.iter (fun acc -> add_timings acc (Analysis_ctx.timings ctx)) into;
-    if Obs.enabled () then begin
-      let t = Analysis_ctx.timings ctx in
-      List.iter
-        (fun (s, h) -> Obs.Histogram.record h (Analysis_ctx.stage_time t s))
-        h_stages;
-      match result with
-      | Ok _ -> Obs.Counter.incr m_nests_ok
-      | Error _ -> Obs.Counter.incr m_nests_failed
-    end;
-    result
-  in
-  outcome
-
 let analyze_into ?into ?(bound = 4) ?(max_loops = 2) ?(model = default_model)
     ?(seq = false) ~machine ~routine nest =
   let module M = (val model : Model.MODEL) in
-  let key =
-    Result_cache.fingerprint ~op:"memo" ~machine ~bound ~max_loops
-      ~model:M.name ~seq nest
+  let ( let* ) = Result.bind in
+  let* () = Error.check_supported ~routine nest in
+  let guard stage f = Error.guard ~stage ~routine f in
+  (* Sequence mode: when the safety fence binds, look for a short
+     skew/retime prefix that legalizes more of the unroll space; the
+     rest of the pipeline then runs on the legalized nest, carrying
+     the chosen steps (and their UJ026 certificate) in the report. *)
+  let* legalized =
+    if not seq then Ok None
+    else
+      guard Error.Search (fun () ->
+          let o =
+            Ujam_analysis.Seqsearch.search ~bound ~max_loops ~machine nest
+          in
+          if o.Ujam_analysis.Seqsearch.sequence = [] then None else Some o)
   in
-  match memo_find key with
-  | Some outcome -> outcome_with_name ~routine nest outcome
-  | None ->
-      let outcome =
-        analyze_fresh ?into ~bound ~max_loops ~model ~seq ~machine ~routine
-          nest
-      in
-      (match outcome with
-      | Ok r when r.diagnostics = [] && r.sequence = [] ->
-          memo_store key outcome
-      | Ok _ | Error _ -> ());
-      outcome
+  let target, sequence, seq_diags =
+    match legalized with
+    | None -> (nest, [], [])
+    | Some o ->
+        ( o.Ujam_analysis.Seqsearch.nest,
+          o.Ujam_analysis.Seqsearch.sequence,
+          o.Ujam_analysis.Seqsearch.diagnostics )
+  in
+  let ctx = Analysis_ctx.create ~bound ~max_loops ~machine target in
+  let result =
+    let* _safety = guard Error.Graph (fun () -> Analysis_ctx.safety ctx) in
+    let* balance = guard Error.Tables (fun () -> Analysis_ctx.balance ctx) in
+    (* Monotonicity guard: strategies that prune the search box rely
+       on the register table being pointwise non-decreasing.  Certify
+       it (O(d*|U|) lookups); on failure degrade that strategy to the
+       exhaustive scan and surface the violation as a UJ010 warning
+       instead of risking a wrong vector. *)
+    let* violation =
+      if M.prunes then
+        guard Error.Search (fun () ->
+            Ujam_analysis.Monotone.check_registers balance)
+      else Ok None
+    in
+    let* choice =
+      guard Error.Search (fun () ->
+          M.analyze ~exhaustive:(violation <> None) ctx)
+    in
+    let* original =
+      guard Error.Search (fun () ->
+          Search.evaluate ~cache:M.cache balance
+            (Vec.zero (Nest.depth target)))
+    in
+    let* speedup =
+      guard Error.Search (fun () ->
+          Driver.speedup ~machine balance ~original ~choice)
+    in
+    Ok
+      { nest_name = Nest.name nest;
+        model = M.name;
+        u = choice.Search.u;
+        balance_before = original.Search.balance;
+        balance_after = choice.Search.balance;
+        objective = choice.Search.objective;
+        registers = choice.Search.registers;
+        memory_ops = choice.Search.memory_ops;
+        flops = choice.Search.flops;
+        speedup;
+        sequence;
+        diagnostics =
+          (seq_diags
+          @
+          match violation with
+          | Some v ->
+              [ Ujam_analysis.Monotone.diagnostic ~nest:(Nest.name nest) v ]
+          | None -> []) }
+  in
+  Option.iter (fun acc -> add_timings acc (Analysis_ctx.timings ctx)) into;
+  if Obs.enabled () then begin
+    let t = Analysis_ctx.timings ctx in
+    List.iter
+      (fun (s, h) -> Obs.Histogram.record h (Analysis_ctx.stage_time t s))
+      h_stages;
+    match result with
+    | Ok _ -> Obs.Counter.incr m_nests_ok
+    | Error _ -> Obs.Counter.incr m_nests_failed
+  end;
+  result
 
 let analyze ?bound ?max_loops ?model ?seq ~machine ?(routine = "<nest>") nest =
   analyze_into ?bound ?max_loops ?model ?seq ~machine ~routine nest
@@ -224,8 +163,6 @@ let parallel_map ?(domains = 1) ~f jobs =
         Obs.Counter.incr m_routines;
         Obs.Gauge.set g_queue (float_of_int remaining)
       end)
-    ~on_steal:(fun ~thief:_ ~victim:_ ~count ->
-      if Obs.enabled () then Obs.Counter.add m_steals count)
     ~f jobs
 
 let run_corpus ?(domains = 1) ?(bound = 4) ?(max_loops = 2)

@@ -66,15 +66,14 @@ val analyze :
     outcome carries a typed {!Error.t} instead. *)
 
 val memo_clear : unit -> unit
-(** Empty the process-wide outcome memo.  Every analysis entry point
-    consults a fingerprint-keyed LRU memo of {e clean} Ok outcomes
-    (no diagnostics, no sequence — anything name-bearing recomputes),
-    so repeated problems cost a digest lookup.  Benchmarks clear it
-    between timed runs to keep measurements independent. *)
+(** Does nothing.  There is no outcome memo: every call analyses its
+    nest, and the serve daemon's {!Result_cache} is the only result
+    cache in the process.  A compatibility stub, like
+    {!Ujam_ir.Hashcons}: only the frozen [e2e/] harness calls it; no
+    library, binary or test code may. *)
 
 val memo_stats : unit -> Result_cache.stats
-(** Hit/miss/size counters of the outcome memo since process start or
-    the last {!memo_clear}. *)
+(** All zeros; an [e2e/]-only stub like {!memo_clear}. *)
 
 val parallel_map :
   ?domains:int -> f:(domain:int -> 'a -> 'b) -> 'a array -> 'b array
@@ -98,8 +97,7 @@ val run_corpus :
     Results are slotted by input index, so the rendered report is
     independent of the domain count; the timing counters are the only
     run-dependent fields and are excluded from {!pp}/{!to_json} unless
-    requested.  Repeated clean problems are answered from the
-    process-wide outcome memo (see {!memo_clear}). *)
+    requested. *)
 
 val routines_of_catalogue :
   ?n:int -> unit -> Ujam_workload.Generator.routine list

@@ -104,11 +104,6 @@ let fold t ~init ~f =
   in
   go init t.head
 
-let clear t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None
-
 type stats = {
   hits : int;
   misses : int;

@@ -31,9 +31,6 @@ val fold : 'v t -> init:'a -> f:('a -> string -> 'v -> 'a) -> 'a
 (** Fold over live entries from most- to least-recently used, without
     touching recency — the serve daemon's persistence walk. *)
 
-val clear : 'v t -> unit
-(** Drop every entry (recency list included); counters are kept. *)
-
 type stats = {
   hits : int;
   misses : int;

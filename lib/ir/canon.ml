@@ -140,47 +140,8 @@ let encode (n : Nest.t) =
     (Nest.body n);
   Buffer.contents buf
 
-(* ---- digest memo ----------------------------------------------------- *)
+let digest n = Digest.to_hex (Digest.string (encode (canon n)))
 
-(* Identity-keyed (ephemeron) memo: a digest computed for a given nest
-   *object* is cached for that object's lifetime, so a caller that
-   fingerprints the same parsed nest twice (the serve daemon's result
-   cache key, then the engine's outcome memo key) canonicalizes it once.
-
-   Keyed by identity, not structure: the memo must never answer for a
-   structurally-equal-but-distinct object, because that would make the
-   memo itself a (non-weak, unbounded) interning table.  [Hashtbl.hash]
-   has bounded traversal, so lookups stay O(1) in nest size.  The memo
-   has its own lock and nothing here calls back into user code. *)
-
-module Memo = Ephemeron.K1.Make (struct
-  type t = Nest.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let memo_lock = Mutex.create ()
-let memo : string Memo.t = Memo.create 1024
-
-let digest n =
-  Mutex.lock memo_lock;
-  let cached = Memo.find_opt memo n in
-  Mutex.unlock memo_lock;
-  match cached with
-  | Some d -> d
-  | None ->
-      (* Encode outside the lock: digesting is the expensive part and
-         must not serialize other domains' memo hits. *)
-      let d = Digest.to_hex (Digest.string (encode (canon n))) in
-      Mutex.lock memo_lock;
-      Memo.replace memo n d;
-      Mutex.unlock memo_lock;
-      d
-
-let memo_clear () =
-  Mutex.lock memo_lock;
-  Memo.clear memo;
-  Mutex.unlock memo_lock
+let memo_clear () = ()
 
 let equal a b = a == b || String.equal (encode (canon a)) (encode (canon b))

@@ -13,12 +13,12 @@
     self-delimiting encoding of that representative.
 
     The digest is the content address used by the serve daemon's
-    result cache ({!Ujam_engine.Result_cache}), the engine's
-    corpus-level work deduplication, and the fuzz harness's duplicate
-    skipping: equal digests mean the cached analysis transfers
-    verbatim.  Collisions beyond structural equality would require an
-    MD5 collision between two valid encodings; the property suite pins
-    digest stability under alpha-renaming and idempotence of [canon]. *)
+    result cache ({!Ujam_engine.Result_cache}) and the fuzz harness's
+    duplicate skipping: equal digests mean the cached analysis
+    transfers verbatim.  Collisions beyond structural equality would
+    require an MD5 collision between two valid encodings; the property
+    suite pins digest stability under alpha-renaming and idempotence of
+    [canon]. *)
 
 val canon : Nest.t -> Nest.t
 (** The canonical representative: variables renamed to [i0..i{d-1}],
@@ -36,13 +36,13 @@ val encode : Nest.t -> string
 val digest : Nest.t -> string
 (** [digest n] is the MD5 hex digest of [encode (canon n)] — stable
     under alpha-renaming, relabeling, and commutative operand order.
-    Memoized per nest {e object} (identity-keyed, weak, Domain-safe):
-    the first call on a given value pays the full canonicalize+hash
-    cost, later calls on the same value are O(1).  A structurally
-    equal but distinct value is digested afresh; nothing interns nests
-    (DESIGN.md §14). *)
+    Nothing is memoized: every call canonicalizes and hashes, and
+    nothing interns nests (DESIGN.md §14). *)
 
 val memo_clear : unit -> unit
+(** Does nothing.  A compatibility stub, like {!Hashcons}: only the
+    frozen [e2e/] harness calls it; no library, binary or test code
+    may. *)
 
 val equal : Nest.t -> Nest.t -> bool
 (** Structural equality of canonical forms: [digest a = digest b]

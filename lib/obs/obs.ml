@@ -356,3 +356,21 @@ let dump () =
                   (Histogram.name h,
                    Histogram.summary_to_json (Histogram.summary h))
             | _ -> None)) ) ]
+
+(* ------------------------------------------------------------------ *)
+(* Output files. *)
+
+let io_error path msg =
+  if String.starts_with ~prefix:(path ^ ": ") msg then msg
+  else path ^ ": " ^ msg
+
+let write_file path contents =
+  match
+    Out_channel.with_open_text path (fun oc ->
+        output_string oc contents;
+        close_out oc)
+  with
+  | () -> true
+  | exception Sys_error msg ->
+      Printf.eprintf "cannot write %s\n%!" (io_error path msg);
+      false

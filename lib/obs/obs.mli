@@ -112,3 +112,13 @@ val reset : unit -> unit
 val dump : unit -> Json.t
 (** Snapshot of the whole registry: counter values, gauge values and
     histogram summaries, each sorted by name. *)
+
+val write_file : string -> string -> bool
+(** [write_file path contents] is the one writer of every output file
+    (traces, metrics dumps, the serve cache, emitted programs).  On
+    failure it prints [cannot write PATH: REASON] on stderr and
+    returns [false]; it never raises. *)
+
+val io_error : string -> string -> string
+(** [io_error path msg] renders a [Sys_error] message as
+    [PATH: REASON], whether or not [msg] already names the path. *)

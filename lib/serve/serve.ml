@@ -22,7 +22,6 @@ type config = {
   domains : int;
   cache_size : int;
   cache_file : string option;
-  batch : int;
   timeout_ms : int;
   max_request_bytes : int;
   metrics_out : string option;
@@ -39,7 +38,6 @@ let default_config ?(machine = Presets.alpha) () =
     domains = 1;
     cache_size = 1024;
     cache_file = None;
-    batch = 32;
     timeout_ms = 30_000;
     max_request_bytes = 1 lsl 20;
     metrics_out = None;
@@ -53,6 +51,7 @@ type summary = {
   hits : int;
   misses : int;
   evictions : int;
+  dumps_failed : int;
 }
 
 (* ---- the loop's working state ---------------------------------------- *)
@@ -272,9 +271,8 @@ let enqueue_request st conn arrival (req : Protocol.request) =
                        ~diagnostics msg ))
                 st.pending
           | Ok (routine, nest) ->
-              (* The fingerprint digests the parsed nest; the engine's
-                 memo key later re-digests the same object, which is a
-                 {!Ujam_ir.Canon} memo hit. *)
+              (* The fingerprint digests the parsed nest; it is the
+                 only digest a request pays for. *)
               let key =
                 Options.fingerprint ~op:(Protocol.method_name meth)
                   ~extra:routine opts nest
@@ -400,6 +398,9 @@ let read_chunk st conn =
 
 (* ---- batch dispatch --------------------------------------------------- *)
 
+(* Most cache-miss jobs dispatched to the domain pool per round. *)
+let batch = 32
+
 let round st =
   if not (Queue.is_empty st.pending) then begin
     (* pop every immediately-answerable task and up to [batch] compute
@@ -410,7 +411,7 @@ let round st =
       match Queue.peek st.pending with
       | Ready _ | Thunk _ -> popped := Queue.pop st.pending :: !popped
       | Compute _ ->
-          if !jobs >= st.cfg.batch then continue := false
+          if !jobs >= batch then continue := false
           else begin
             incr jobs;
             popped := Queue.pop st.pending :: !popped
@@ -513,20 +514,15 @@ let close_conn conn =
       try Unix.close conn.cout with Unix.Unix_error _ -> ()
   end
 
-let summary_of st =
+let summary_of st ~dumps_failed =
   let cs = Result_cache.stats st.cache in
   { requests = st.n_requests;
     ok = st.n_ok;
     errors = st.n_err;
     hits = cs.Result_cache.hits;
     misses = cs.Result_cache.misses;
-    evictions = cs.Result_cache.evictions }
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  output_char oc '\n';
-  close_out oc
+    evictions = cs.Result_cache.evictions;
+    dumps_failed }
 
 (* ---- cache persistence ------------------------------------------------ *)
 
@@ -537,62 +533,59 @@ let write_file path contents =
 
 let cache_header = Json.Obj [ ("ujc-serve-cache", Json.Int 1) ]
 
-let save_cache cache path =
-  let oc = open_out path in
-  output_string oc (Json.to_string cache_header);
-  output_char oc '\n';
+let cache_contents cache =
+  let buf = Buffer.create 4096 in
+  let line json =
+    Buffer.add_string buf (Json.to_string json);
+    Buffer.add_char buf '\n'
+  in
+  line cache_header;
   let n =
     Result_cache.fold cache ~init:0 ~f:(fun n key (ok, payload) ->
-        output_string oc
-          (Json.to_string
-             (Json.Obj
-                [ ("key", Json.Str key);
-                  ("ok", Json.Bool ok);
-                  ("payload", payload) ]));
-        output_char oc '\n';
+        line
+          (Json.Obj
+             [ ("key", Json.Str key); ("ok", Json.Bool ok); ("payload", payload) ]);
         n + 1)
   in
-  close_out oc;
-  n
+  (n, Buffer.contents buf)
 
+(* The file is MRU-first: collect its entries, then store oldest first
+   so the rebuilt recency order matches the saved one; overflow beyond
+   capacity evicts the oldest.  A file that cannot be read starts
+   cold. *)
 let load_cache cache path =
+  let read ic =
+    match Option.map Json.of_string (In_channel.input_line ic) with
+    | Some (Ok h) when Json.member "ujc-serve-cache" h = Some (Json.Int 1) ->
+        let rec entries acc =
+          match In_channel.input_line ic with
+          | None -> acc
+          | Some l -> (
+              match Json.of_string l with
+              | Ok j -> (
+                  match
+                    (Json.member "key" j, Json.member "ok" j, Json.member "payload" j)
+                  with
+                  | Some (Json.Str key), Some (Json.Bool ok), Some payload ->
+                      entries ((key, ok, payload) :: acc)
+                  | _ -> entries acc)
+              | Error _ -> entries acc)
+        in
+        entries []
+    | _ -> []
+  in
   if not (Sys.file_exists path) then 0
-  else begin
-    let ic = open_in path in
-    let loaded = ref 0 in
-    (try
-       (match Json.of_string (input_line ic) with
-       | Ok h when Json.member "ujc-serve-cache" h = Some (Json.Int 1) ->
-           (* Collect entries (file is MRU-first), then store oldest
-              first so the rebuilt recency order matches the saved
-              one; overflow beyond capacity evicts the oldest. *)
-           let entries = ref [] in
-           (try
-              while true do
-                match Json.of_string (input_line ic) with
-                | Ok j -> (
-                    match
-                      ( Json.member "key" j,
-                        Json.member "ok" j,
-                        Json.member "payload" j )
-                    with
-                    | Some (Json.Str key), Some (Json.Bool ok), Some payload
-                      ->
-                        entries := (key, ok, payload) :: !entries
-                    | _ -> ())
-                | Error _ -> ()
-              done
-            with End_of_file -> ());
-           List.iter
-             (fun (key, ok, payload) ->
-               incr loaded;
-               Result_cache.store cache key (ok, payload))
-             !entries
-       | Ok _ | Error _ -> ())
-     with End_of_file -> ());
-    close_in ic;
-    !loaded
-  end
+  else
+    match In_channel.with_open_text path read with
+    | entries ->
+        List.iter
+          (fun (key, ok, payload) -> Result_cache.store cache key (ok, payload))
+          entries;
+        List.length entries
+    | exception Sys_error msg ->
+        Printf.eprintf "serve: cannot read %s; starting cold\n%!"
+          (Obs.io_error path msg);
+        0
 
 let run ?listen ?stdio ?(stop = Atomic.make false) cfg =
   let stdio = Option.value stdio ~default:(listen = None) in
@@ -689,18 +682,37 @@ let run ?listen ?stdio ?(stop = Atomic.make false) cfg =
         (fun path -> try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
         listen
   | None -> ());
-  let saved =
-    Option.map (fun path -> save_cache st.cache path) cfg.cache_file
+  (* Attempt every dump; each yields its summary line, or [None] if
+     the file could not be written. *)
+  let dump what path contents =
+    if Obs.write_file path contents then
+      Some (Printf.sprintf "serve: %s to %s\n" what path)
+    else None
   in
-  Option.iter
-    (fun path -> write_file path (Json.to_string (metrics_payload st)))
-    cfg.metrics_out;
-  Option.iter
-    (fun path -> write_file path (Json.to_string (Obs.Span.to_chrome ())))
-    cfg.trace_out;
+  let cache =
+    Option.map
+      (fun path ->
+        let n, contents = cache_contents st.cache in
+        dump (Printf.sprintf "persisted %d cached results" n) path contents)
+      cfg.cache_file
+  in
+  let metrics =
+    Option.map
+      (fun path ->
+        dump "wrote metrics" path (Json.to_string (metrics_payload st) ^ "\n"))
+      cfg.metrics_out
+  in
+  let trace =
+    Option.map
+      (fun path ->
+        dump "wrote trace" path (Json.to_string (Obs.Span.to_chrome ()) ^ "\n"))
+      cfg.trace_out
+  in
+  let dumps = List.filter_map Fun.id [ cache; metrics; trace ] in
   Sys.set_signal Sys.sigpipe old_pipe;
   Sys.set_signal Sys.sigint old_int;
-  let s = summary_of st in
+  let dumps_failed = List.length (List.filter Option.is_none dumps) in
+  let s = summary_of st ~dumps_failed in
   if not cfg.quiet then begin
     Printf.eprintf
       "serve: %d requests, %d ok, %d errors, %d cache hits, %d misses, %d evictions\n"
@@ -709,17 +721,7 @@ let run ?listen ?stdio ?(stop = Atomic.make false) cfg =
       (fun path ->
         Printf.eprintf "serve: loaded %d cached results from %s\n" loaded path)
       (if loaded > 0 then cfg.cache_file else None);
-    Option.iter
-      (fun n ->
-        Printf.eprintf "serve: persisted %d cached results to %s\n" n
-          (Option.get cfg.cache_file))
-      saved;
-    Option.iter
-      (fun path -> Printf.eprintf "serve: wrote metrics to %s\n" path)
-      cfg.metrics_out;
-    Option.iter
-      (fun path -> Printf.eprintf "serve: wrote trace to %s\n" path)
-      cfg.trace_out;
+    List.iter (Option.iter prerr_string) dumps;
     flush stderr
   end;
   s
@@ -765,165 +767,3 @@ module Client = struct
 
   let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 end
-
-(* ---- smoke ------------------------------------------------------------ *)
-
-type smoke_report = {
-  sk_requests : int;
-  sk_ok : int;
-  sk_expected_errors : int;
-  sk_unexpected_errors : int;
-  sk_order_violations : int;
-  sk_hits : int;
-}
-
-let smoke_healthy r =
-  r.sk_unexpected_errors = 0 && r.sk_order_violations = 0 && r.sk_hits > 0
-
-let pp_smoke ppf r =
-  Format.fprintf ppf
-    "serve smoke: %d requests over 2 clients: %d ok, %d expected errors, %d unexpected errors, %d order violations, cache hits %d"
-    r.sk_requests r.sk_ok r.sk_expected_errors r.sk_unexpected_errors
-    r.sk_order_violations r.sk_hits
-
-(* A deterministic mixed workload: kernel optimizes cycling through the
-   catalogue (the second cycle repeats the first — cache fodder), inline
-   nests sent twice, explains, lints, pings, and — every tenth request —
-   a hostile probe (bad JSON, unknown method, unsupported nest, instant
-   timeout, oversized line) that must produce exactly one error
-   response and a still-living daemon. *)
-let smoke_request kernels i =
-  let opt_kernel k =
-    `Req
-      ( Json.Obj
-          [ ("id", Json.Int i);
-            ("method", Json.Str "optimize");
-            ("params",
-             Json.Obj [ ("kernel", Json.Str k); ("n", Json.Int 16) ]) ],
-        true )
-  in
-  if i mod 10 = 7 then
-    match i / 10 mod 5 with
-    | 0 -> `Raw ("{\"id\":" ^ string_of_int i ^ ", not json", false)
-    | 1 ->
-        `Req
-          ( Json.Obj
-              [ ("id", Json.Int i); ("method", Json.Str "frobnicate") ],
-            false )
-    | 2 ->
-        (* non-unit step: parses, then fails the supported-class fence *)
-        `Req
-          ( Json.Obj
-              [ ("id", Json.Int i);
-                ("method", Json.Str "optimize");
-                ("params",
-                 Json.Obj
-                   [ ("name", Json.Str "stride2");
-                     ("nest",
-                      Json.Str "DO I = 1, 8, 2\n A(I) = A(I) + 1.0\nENDDO") ]) ],
-            false )
-    | 3 ->
-        `Req
-          ( Json.Obj
-              [ ("id", Json.Int i);
-                ("method", Json.Str "optimize");
-                ("params",
-                 Json.Obj
-                   [ ("kernel", Json.Str (List.nth kernels 0));
-                     ("timeout_ms", Json.Int 0) ]) ],
-            false )
-    | _ -> `Raw ("{\"pad\":\"" ^ String.make 5000 'x' ^ "\"}", false)
-  else if i mod 10 = 3 then
-    `Req
-      ( Json.Obj
-          [ ("id", Json.Int i);
-            ("method", Json.Str "lint");
-            ("params",
-             Json.Obj
-               [ ("name", Json.Str "smoke-lint");
-                 ("nest",
-                  Json.Str "DO I = 1, 16\n A(I) = A(I-1) + B(I)\nENDDO") ]) ],
-        true )
-  else if i mod 10 = 5 then
-    `Req
-      ( Json.Obj
-          [ ("id", Json.Int i);
-            ("method", Json.Str "explain");
-            ("params",
-             Json.Obj
-               [ ("kernel",
-                  Json.Str (List.nth kernels (i mod List.length kernels))) ]) ],
-        true )
-  else if i mod 10 = 9 then
-    `Req (Json.Obj [ ("id", Json.Int i); ("method", Json.Str "ping") ], true)
-  else opt_kernel (List.nth kernels (i mod List.length kernels))
-
-let smoke ?(requests = 50) ?(domains = 1) () =
-  let path = Filename.temp_file "ujam_serve" ".sock" in
-  Sys.remove path;
-  let cfg =
-    { (default_config ()) with
-      domains;
-      quiet = true;
-      max_request_bytes = 4096 }
-  in
-  let server = Domain.spawn (fun () -> run ~listen:path cfg) in
-  let clients = [| Client.connect path; Client.connect path |] in
-  let kernels =
-    List.filteri (fun i _ -> i < 8) Catalogue.all
-    |> List.map (fun e -> e.Catalogue.name)
-  in
-  let ok = ref 0
-  and expected_err = ref 0
-  and unexpected_err = ref 0
-  and order = ref 0 in
-  for i = 0 to requests - 1 do
-    let client = clients.(i mod 2) in
-    let expect_ok, resp =
-      match smoke_request kernels i with
-      | `Req (json, expect_ok) -> (expect_ok, Client.request client json)
-      | `Raw (line, expect_ok) -> (
-          Client.send_line client line;
-          match Client.recv_line client with
-          | None -> failwith "serve smoke: connection closed"
-          | Some l -> (
-              ( expect_ok,
-                match Json.of_string l with
-                | Ok j -> j
-                | Error e -> failwith ("serve smoke: bad response: " ^ e) )))
-    in
-    let got_ok = Json.member "ok" resp = Some (Json.Bool true) in
-    (* hostile probes answer with id null; everything else echoes i *)
-    (match Json.member "id" resp with
-    | Some (Json.Int j) when j = i -> ()
-    | Some Json.Null when not expect_ok -> ()
-    | _ -> incr order);
-    if got_ok then incr ok
-    else if expect_ok then incr unexpected_err
-    else incr expected_err
-  done;
-  let metrics =
-    Client.request clients.(0)
-      (Json.Obj [ ("id", Json.Str "m"); ("method", Json.Str "metrics") ])
-  in
-  let hits =
-    match
-      Option.bind (Json.member "result" metrics) (fun r ->
-          Option.bind (Json.member "cache" r) (Json.member "hits"))
-    with
-    | Some (Json.Int n) -> n
-    | _ -> 0
-  in
-  (match
-     Client.request clients.(0)
-       (Json.Obj [ ("id", Json.Str "bye"); ("method", Json.Str "shutdown") ])
-   with
-  | _ -> ());
-  let (_ : summary) = Domain.join server in
-  Array.iter Client.close clients;
-  { sk_requests = requests;
-    sk_ok = !ok;
-    sk_expected_errors = !expected_err;
-    sk_unexpected_errors = !unexpected_err;
-    sk_order_violations = !order;
-    sk_hits = hits }

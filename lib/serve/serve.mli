@@ -3,8 +3,8 @@
     [run] owns an accept/read/dispatch loop over a Unix-domain listen
     socket and/or stdin, speaking the line-delimited protocol of
     {!Protocol}.  Analysis requests are answered from a bounded
-    content-addressed {!Ujam_engine.Result_cache} when possible;
-    misses are batched, deduplicated within the batch, and fanned out
+    content-addressed {!Ujam_engine.Result_cache} when possible — the
+    only result cache in the process; misses are batched, deduplicated within the batch, and fanned out
     across a Domain worker pool ({!Ujam_engine.Engine.parallel_map}),
     with responses always written in request order per connection.
     The cache is touched only by the dispatch thread — worker domains
@@ -16,8 +16,10 @@
     one closed connection) and nothing else; the loop never exits on
     request input.  It exits on SIGINT, a [shutdown] request, or
     end-of-input in stdio mode — in every case draining already-queued
-    work, flushing a final metrics report to [metrics_out], and
-    appending a one-line summary to stderr (suppressed by [quiet]).
+    work, attempting every shutdown dump ([cache_file], [metrics_out],
+    [trace_out]; a file that cannot be written costs one stderr line
+    and counts in [dumps_failed]), and appending a one-line summary to
+    stderr (suppressed by [quiet]).
 
     Live observability: the loop enables {!Ujam_obs.Obs} and maintains
     [serve.requests], [serve.errors], [serve.cache.{hits,misses,evictions}]
@@ -44,8 +46,7 @@ type config = {
           are machine+options+canonical-digest fingerprints) after
           the drain, so warm-cache performance
           survives restarts; a missing or unreadable file starts
-          cold *)
-  batch : int;  (** max cache-miss jobs dispatched per round *)
+          cold (the unreadable one with a line on stderr) *)
   timeout_ms : int;
       (** default request deadline, measured from arrival to dispatch;
           [< 0] disables, [0] expires immediately (a typed-timeout
@@ -58,8 +59,8 @@ type config = {
 
 val default_config : ?machine:Ujam_machine.Machine.t -> unit -> config
 (** alpha machine, bound 4, max_loops 2, ugs model, seq off, 1 domain,
-    cache 1024 (not persisted), batch 32, timeout 30000 ms, 1 MiB
-    lines, no dumps. *)
+    cache 1024 (not persisted), timeout 30000 ms, 1 MiB lines, no
+    dumps.  Each round dispatches at most 32 cache-miss jobs. *)
 
 type summary = {
   requests : int;  (** request lines consumed, well-formed or not *)
@@ -68,6 +69,9 @@ type summary = {
   hits : int;
   misses : int;
   evictions : int;
+  dumps_failed : int;
+      (** shutdown files (cache, metrics, trace) that could not be
+          written; each was reported on stderr *)
 }
 
 val run :
@@ -79,8 +83,8 @@ val run :
     another domain.  @raise Invalid_argument when given neither
     transport. *)
 
-(** A minimal blocking client for tests, the bench load generator and
-    the smoke driver: one request line out, one response line back. *)
+(** A minimal blocking client for tests and the e2e load generator:
+    one request line out, one response line back. *)
 module Client : sig
   type t
 
@@ -97,24 +101,3 @@ module Client : sig
 
   val close : t -> unit
 end
-
-type smoke_report = {
-  sk_requests : int;
-  sk_ok : int;
-  sk_expected_errors : int;  (** probes that must answer [ok:false] *)
-  sk_unexpected_errors : int;
-  sk_order_violations : int;  (** responses out of per-client order *)
-  sk_hits : int;
-}
-
-val smoke : ?requests:int -> ?domains:int -> unit -> smoke_report
-(** Self-contained smoke drive: start a daemon on a fresh temp socket
-    (in its own Domain), replay a deterministic mixed workload —
-    kernel and inline optimizes with repeats, explain, lint, pings,
-    metrics, plus malformed/unsupported/oversized/timeout probes —
-    over two interleaved client connections, shut the daemon down, and
-    report.  Healthy iff [sk_unexpected_errors = 0],
-    [sk_order_violations = 0] and [sk_hits > 0]. *)
-
-val smoke_healthy : smoke_report -> bool
-val pp_smoke : Format.formatter -> smoke_report -> unit
