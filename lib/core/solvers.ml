@@ -27,25 +27,47 @@ let temporal ~h ~localized ~unroll_levels =
 let spatial ~h ~localized ~unroll_levels =
   solver ~h:(Selfreuse.spatial_matrix h) ~localized ~unroll_levels ~truncate:true
 
-type point_equiv = Vec.t -> Vec.t -> int option
+(* Solvability differences add, so placing against roots suffices. *)
+let components solver ~dim items =
+  let comps = ref [] in
+  List.iter
+    (fun (c, x) ->
+      let rec place = function
+        | [] ->
+            comps := !comps @ [ (c, ref [ (x, { m = Vec.zero dim; delta = 0 }) ]) ]
+        | (root, members) :: rest -> (
+            match solver ~c_from:root ~c_to:c with
+            | Some key -> members := !members @ [ (x, key) ]
+            | None -> place rest)
+      in
+      place !comps)
+    items;
+  List.map (fun (_, members) -> !members) !comps
 
-let point_equiv ~h_apply ~h_solve ~localized ~truncate =
-  let memo : (Vec.t, int option) Hashtbl.t = Hashtbl.create 64 in
-  let innermost = Mat.cols h_apply - 1 in
-  fun p r ->
-    let diff = Vec.sub p r in
-    match Hashtbl.find_opt memo diff with
-    | Some res -> res
-    | None ->
-        let rhs = Mat.apply h_apply diff in
-        let rhs = if truncate && Vec.dim rhs > 0 then Vec.set rhs 0 0 else rhs in
-        let res =
-          Option.map
-            (fun x -> Vec.get x innermost)
-            (Subspace.solution_in h_solve rhs localized)
-        in
-        Hashtbl.add memo diff res;
-        res
+(* [A p] reduced modulo [A b] along the first non-zero coordinate of
+   [A b] names [p]'s class; the multiple taken off is its time shift. *)
+let floor_div x y =
+  let q = x / y in
+  if x mod y <> 0 && (x < 0) <> (y < 0) then q - 1 else q
+
+let point_class ~a ~localized =
+  let plain p = (Mat.apply a p, 0) in
+  match Subspace.basis localized with
+  | [] -> plain
+  | [ b ] -> (
+      let ab = Mat.apply a b in
+      let nonzero =
+        List.filter (fun i -> Vec.get ab i <> 0) (List.init (Vec.dim ab) Fun.id)
+      in
+      match nonzero with
+      | [] -> plain
+      | i0 :: _ ->
+          let b_last = Vec.get b (Vec.dim b - 1) in
+          fun p ->
+            let ap = Mat.apply a p in
+            let t = floor_div (Vec.get ap i0) (Vec.get ab i0) in
+            (Vec.map2 (fun x y -> x - (t * y)) ap ab, t * b_last))
+  | _ -> invalid_arg "Solvers.point_class: localized space of dimension > 1"
 
 let kernel_moves ~h ~localized ~unroll_levels =
   let depth = Mat.cols h in
@@ -59,9 +81,7 @@ let kernel_moves ~h ~localized ~unroll_levels =
          in
          if Vec.is_zero projected then None else Some projected)
 
-let temporal_point_equiv ~h ~localized =
-  point_equiv ~h_apply:h ~h_solve:h ~localized ~truncate:false
+let temporal_point_class ~h ~localized = point_class ~a:h ~localized
 
-let spatial_point_equiv ~h ~localized =
-  point_equiv ~h_apply:h ~h_solve:(Selfreuse.spatial_matrix h) ~localized
-    ~truncate:true
+let spatial_point_class ~h ~localized =
+  point_class ~a:(Selfreuse.spatial_matrix h) ~localized

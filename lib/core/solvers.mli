@@ -27,15 +27,29 @@ val spatial :
 (** Solver for group-spatial coincidence: [H] with the contiguous row
     zeroed and the difference's contiguous component dropped. *)
 
-type point_equiv = Vec.t -> Vec.t -> int option
-(** Equivalence of unroll-offset points.  Copies of one reference at
-    offsets [p] and [r] denote the same group whenever some [x] in the
-    localized space satisfies [H x = H (p - r)]; the witness's innermost
-    component is the time shift between the two copies' value streams.
-    Both testers memoise on the difference vector. *)
+val components : t -> dim:int -> (Vec.t * 'a) list -> ('a * key) list list
+(** Merge components of items given with their constant vectors: two
+    items share a component when [solver] connects their constants.
+    Each item comes with its key relative to its component's root (the
+    first item placed, whose key is zero); components and members keep
+    input order. *)
 
-val temporal_point_equiv : h:Mat.t -> localized:Subspace.t -> point_equiv
-val spatial_point_equiv : h:Mat.t -> localized:Subspace.t -> point_equiv
+val temporal_point_class : h:Mat.t -> localized:Subspace.t -> Vec.t -> Vec.t * int
+(** [(key, shift)] of an unroll-offset copy point.  Copies of one
+    reference at offsets [p] and [r] denote the same group iff some
+    integral [x] in the localized space satisfies [H x = H (p - r)]:
+    for [localized = span{b}] a lattice equivalence, which holds iff
+    [p] and [r] have equal keys, and then [x]'s innermost component
+    (the time shift between the copies' value streams) is
+    [shift p - shift r].  The key is [H p] minus [t (H b)], [t] the
+    floored quotient on the first non-zero coordinate of [H b], and the
+    shift is [t b_(d-1)]; if [H b = 0] or [localized] is trivial, the
+    key is [H p] and the shift 0.
+    @raise Invalid_argument if [localized] has dimension above 1. *)
+
+val spatial_point_class : h:Mat.t -> localized:Subspace.t -> Vec.t -> Vec.t * int
+(** {!temporal_point_class} over [H] with the contiguous row zeroed
+    ({!Ujam_reuse.Selfreuse.spatial_matrix}). *)
 
 val kernel_moves :
   h:Mat.t -> localized:Subspace.t -> unroll_levels:int list -> Vec.t list

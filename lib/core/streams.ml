@@ -107,15 +107,16 @@ let summarize ss =
 
    Every ingredient of the per-[u] stream decomposition is independent
    of [u] once computed over the full space box: the component
-   decomposition, the class partition of the deposit points
-   (equivalence classes restrict to sub-boxes), each deposit's time
-   offset, and the total time order — the unrolled body orders by
-   (delta desc, body copy, stmt, def, site id), and the textual rank of
-   the copy at offset [o] within any box [0..u] orders exactly as
-   lex([o]).  So we partition and sort once, and each query walks the
-   sorted deposit arrays, skipping entries whose offset lies outside
-   [0..u], splitting at definitions and accumulating spans — no
-   allocation, no hashing, no sorting per [u]. *)
+   decomposition, the class partition of the deposit points (lattice
+   classes restrict to sub-boxes; [Solvers.temporal_point_class] names
+   each point's class), each deposit's time offset, and the total time
+   order — the unrolled body orders by (delta desc, body copy, stmt,
+   def, site id), and the textual rank of the copy at offset [o] within
+   any box [0..u] orders exactly as lex([o]).  So we partition and sort
+   once, and each query walks the sorted deposit arrays, skipping
+   entries whose offset lies outside [0..u], splitting at definitions
+   and accumulating spans — no allocation, no hashing, no sorting per
+   [u]. *)
 type deposit = { off : int array; d_delta : int; d_stmt : int; d_def : bool; d_id : int }
 
 let unrolled_summary_fn space ~localized (ugs : Ugs.t) =
@@ -144,26 +145,11 @@ let unrolled_summary_fn space ~localized (ugs : Ugs.t) =
             cls ))
       classes
   in
-  (* Component decomposition with keys relative to component roots. *)
-  let comps :
-      (Vec.t * ((Site.t * int * bool) list * Solvers.key) list ref) list ref =
-    ref []
+  let comps =
+    Solvers.components solver ~dim:(Unroll_space.depth space) resolved_classes
   in
-  List.iter
-    (fun (c0, members) ->
-      let rec place = function
-        | [] ->
-            let key = { Solvers.m = Vec.zero (Unroll_space.depth space); delta = 0 } in
-            comps := !comps @ [ (c0, ref [ (members, key) ]) ]
-        | (root, cell) :: rest -> (
-            match solver ~c_from:root ~c_to:c0 with
-            | Some key -> cell := !cell @ [ (members, key) ]
-            | None -> place rest)
-      in
-      place !comps)
-    resolved_classes;
   let invariant = Selfreuse.has_self_temporal ~localized h in
-  let equiv = Solvers.temporal_point_equiv ~h ~localized in
+  let point_class = Solvers.temporal_point_class ~h ~localized in
   let compare_deposit a b =
     let c = compare b.d_delta a.d_delta in
     if c <> 0 then c
@@ -175,26 +161,24 @@ let unrolled_summary_fn space ~localized (ugs : Ugs.t) =
           (a.d_stmt, a.d_def, a.d_id)
           (b.d_stmt, b.d_def, b.d_id)
   in
-  (* One full-box partition per component cell. *)
+  (* One full-box partition per component cell; deposit times are
+     relative to each class's first-seen point. *)
   let cells =
     List.map
-      (fun (_, cell) ->
-        let reps : (Vec.t * deposit list ref) list ref = ref [] in
+      (fun cell ->
+        let classes : (Vec.t, int * deposit list ref) Hashtbl.t = Hashtbl.create 64 in
         List.iter
           (fun (members, { Solvers.m; delta }) ->
             Unroll_space.iter space (fun o ->
-                let p = Vec.add m o in
-                let rec find = function
-                  | [] ->
+                let key, shift_p = point_class (Vec.add m o) in
+                let bucket, shift =
+                  match Hashtbl.find_opt classes key with
+                  | Some (shift_r, bucket) -> (bucket, shift_p - shift_r)
+                  | None ->
                       let bucket = ref [] in
-                      reps := (p, bucket) :: !reps;
+                      Hashtbl.add classes key (shift_p, bucket);
                       (bucket, 0)
-                  | (r, bucket) :: rest -> (
-                      match equiv p r with
-                      | Some shift -> (bucket, shift)
-                      | None -> find rest)
                 in
-                let bucket, shift = find !reps in
                 let off = Vec.to_array o in
                 List.iter
                   (fun ((s : Site.t), d_rel, is_def) ->
@@ -206,14 +190,14 @@ let unrolled_summary_fn space ~localized (ugs : Ugs.t) =
                         d_id = s.Site.id }
                       :: !bucket)
                   members))
-          !cell;
-        List.map
-          (fun (_, bucket) ->
+          cell;
+        Hashtbl.fold
+          (fun _ (_, bucket) acc ->
             let a = Array.of_list !bucket in
             Array.sort compare_deposit a;
-            a)
-          !reps)
-      !comps
+            a :: acc)
+          classes [])
+      comps
   in
   let dim = Unroll_space.depth space in
   fun u ->

@@ -3,24 +3,10 @@ open Ujam_reuse
 
 let total = Unroll_space.Table.prefix_sum
 
-(* Partition leaders into merge components: two leaders are in the same
-   component when the solver connects them; keys are offsets relative to
-   the component root.  Solvability differences add, so scanning against
-   roots is enough. *)
+(* Merge components, as key offsets from each component's root. *)
 let components ~dim ~solver leaders =
-  let comps : (Vec.t * (Vec.t * Vec.t) list ref) list ref = ref [] in
-  List.iter
-    (fun c ->
-      let rec place = function
-        | [] -> comps := !comps @ [ (c, ref [ (c, Vec.zero dim) ]) ]
-        | (root, members) :: rest -> (
-            match solver ~c_from:root ~c_to:c with
-            | Some { Solvers.m; _ } -> members := !members @ [ (c, m) ]
-            | None -> place rest)
-      in
-      place !comps)
-    leaders;
-  List.map (fun (_, members) -> !members) !comps
+  Solvers.components solver ~dim (List.map (fun c -> (c, ())) leaders)
+  |> List.map (List.map (fun ((), k) -> k.Solvers.m))
 
 (* Per-copy group table.  T[u'] counts the leaders whose copy at offset
    u' starts a new group: leader j's copy at u' duplicates an earlier
@@ -55,8 +41,7 @@ let compute_table space ~solver ~kernel_gens leaders =
            (not (Vec.is_zero v)) && Unroll_space.mem space v)
   in
   List.iter
-    (fun members ->
-      let keys = List.map snd members in
+    (fun keys ->
       List.iter
         (fun kj ->
           let merge_points =
@@ -75,8 +60,7 @@ let orientable v =
 let applicable space ~solver ~kernel_gens leaders =
   List.for_all orientable kernel_gens
   && List.for_all
-       (fun members ->
-         let keys = List.map snd members in
+       (fun keys ->
          List.for_all
            (fun ki ->
              List.for_all (fun kj -> orientable (Vec.sub ki kj)) keys)
@@ -127,47 +111,44 @@ let gts_applicable space ~localized ugs =
          ~unroll_levels:(Unroll_space.unroll_levels space))
     (gts_leaders ~localized ugs)
 
-(* Exact totals without the per-[u] rescan.  [equiv] is an equivalence
-   (membership of the difference in a lattice), so the copy points
-   [m + o] partition into classes independently of which box they are
-   observed in: restricting to the box [o <= u] just restricts each
-   class to its offsets inside the box.  Hence the table value at [u]
-   is the number of classes with at least one offset [<= u] — each
-   class contributes +1 on the union of the upward boxes of its
-   offsets ([add_cover]).  One partition of the full space per
-   component replaces |U| partitions of sub-boxes. *)
-let exact_totals_table space ~solver ~equiv leaders =
+(* Exact totals without the per-[u] rescan.  Copy points [m + o] are
+   equivalent when their difference lies in a lattice, so they partition
+   into classes independently of which box they are observed in:
+   restricting to the box [o <= u] just restricts each class to its
+   offsets inside the box.  Hence the table value at [u] is the number
+   of classes with at least one offset [<= u] — each class contributes
+   +1 on the union of the upward boxes of its offsets ([add_cover]).
+   One partition of the full space per component replaces |U|
+   partitions of sub-boxes, and [point_class] names each point's class
+   outright, so a point costs one hash lookup. *)
+let exact_totals_table space ~solver ~point_class leaders =
   let comps = components ~dim:(Unroll_space.depth space) ~solver leaders in
   let t = Unroll_space.Table.create space 0 in
   List.iter
-    (fun members ->
-      let reps : (Vec.t * Vec.t list ref) list ref = ref [] in
+    (fun keys ->
+      let classes : (Vec.t, Vec.t list ref) Hashtbl.t = Hashtbl.create 64 in
       List.iter
-        (fun (_, m) ->
+        (fun m ->
           Unroll_space.iter space (fun o ->
-              let p = Vec.add m o in
-              let rec place = function
-                | [] -> reps := (p, ref [ o ]) :: !reps
-                | (r, offsets) :: rest ->
-                    if Option.is_some (equiv p r) then offsets := o :: !offsets
-                    else place rest
-              in
-              place !reps))
-        members;
-      List.iter
-        (fun (_, offsets) -> Unroll_space.Table.add_cover t !offsets 1)
-        !reps)
+              let key, _ = point_class (Vec.add m o) in
+              match Hashtbl.find_opt classes key with
+              | Some offsets -> offsets := o :: !offsets
+              | None -> Hashtbl.add classes key (ref [ o ])))
+        keys;
+      Hashtbl.iter
+        (fun _ offsets -> Unroll_space.Table.add_cover t !offsets 1)
+        classes)
     comps;
   t
 
 let gts_exact_table space ~localized ugs =
   exact_totals_table space
     ~solver:(temporal_solver space ~localized ugs)
-    ~equiv:(Solvers.temporal_point_equiv ~h:ugs.Ujam_reuse.Ugs.h ~localized)
+    ~point_class:(Solvers.temporal_point_class ~h:ugs.Ugs.h ~localized)
     (gts_leaders ~localized ugs)
 
 let gss_exact_table space ~localized ugs =
   exact_totals_table space
     ~solver:(spatial_solver space ~localized ugs)
-    ~equiv:(Solvers.spatial_point_equiv ~h:ugs.Ujam_reuse.Ugs.h ~localized)
+    ~point_class:(Solvers.spatial_point_class ~h:ugs.Ugs.h ~localized)
     (gss_leaders ~localized ugs)

@@ -11,10 +11,11 @@
     is the prefix sum over [u' <= u] — the paper's [Sum].
 
     [gts_exact_table]/[gss_exact_table] partition the merge-key-shifted
-    copy points of the whole space once per UGS and store totals per
-    cell; {!Balance.prepare} builds these.  The test suite checks them
-    cell for cell against the materialised unrolled body, and
-    [compute_table] against them on its domain ({!applicable}). *)
+    copy points of the whole space once per UGS, by the class keys of
+    {!Solvers.temporal_point_class}/{!Solvers.spatial_point_class}, and
+    store totals per cell; {!Balance.prepare} builds these.  The tests
+    check them cell for cell against the materialised unrolled body,
+    and [compute_table] against them on its domain ({!applicable}). *)
 
 open Ujam_linalg
 

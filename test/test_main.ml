@@ -15,6 +15,7 @@ let () =
       ("depend/safety", Test_safety.suite);
       ("reuse", Test_reuse.suite);
       ("core/unroll-space", Test_unroll_space.suite);
+      ("core/solvers", Test_solvers.suite);
       ("core/tables", Test_tables.suite);
       ("core/balance-search", Test_balance.suite);
       ("core/scalar-replace", Test_scalar_replace.suite);

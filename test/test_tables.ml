@@ -154,6 +154,39 @@ let test_kernel_suite_incremental_vs_exact () =
       let incremental = incremental_counts nest space in
       fun name u -> Alcotest.(check (pair int int)) name (exact u) (incremental u))
 
+(* The deepest spaces the search reads: 4-deep generated nests (the
+   generator's deep mode) unrolled by up to 3 on each outer level.
+   [Balance.prepare]'s cells must equal the materialised body there. *)
+let test_deep_prepare_vs_materialized () =
+  let st = Random.State.make [| 1997 |] in
+  let rec deep_nests acc idx =
+    if List.length acc >= 4 then List.rev acc
+    else
+      let r = Ujam_workload.Generator.routine ~deep:true st idx in
+      deep_nests
+        (List.filter (fun n -> Nest.depth n = 4) r.Ujam_workload.Generator.nests
+        @ acc)
+        (idx + 1)
+  in
+  List.iter
+    (fun nest ->
+      let space = Unroll_space.make ~bounds:[| 3; 3; 3; 0 |] in
+      let t = Balance.prepare ~machine:Ujam_machine.Presets.alpha space nest in
+      Unroll_space.iter space (fun u ->
+          let name = Printf.sprintf "%s at %s" (Nest.name nest) (Vec.to_string u) in
+          let gt, gs =
+            List.fold_left
+              (fun (gt, gs) (_, g_t, g_s) -> (gt + g_t, gs + g_s))
+              (0, 0) (Balance.group_counts t u)
+          in
+          let m = materialized_summary nest u in
+          Alcotest.(check (pair int int)) name (materialized_counts nest u) (gt, gs);
+          Alcotest.(check (pair int int))
+            (name ^ " memory ops, registers")
+            (m.Streams.memory_ops, m.Streams.registers)
+            (Balance.memory_ops t u, Balance.registers t u)))
+    (deep_nests [] 0)
+
 let test_rrs_partition () =
   (* vpenta: F(I,J) read+write split at the definition; F(I,J-1) and
      F(I,J-2) are their own streams. *)
@@ -269,4 +302,6 @@ let suite =
     Gen.to_alcotest prop_streams_match_materialization;
     Gen.to_alcotest prop_groups_match_materialization;
     Gen.to_alcotest prop_incremental_matches_exact;
-    Gen.to_alcotest prop_incremental_rrs_matches_streams ]
+    Gen.to_alcotest prop_incremental_rrs_matches_streams;
+    Alcotest.test_case "4-deep prepare vs materialised" `Slow
+      test_deep_prepare_vs_materialized ]
