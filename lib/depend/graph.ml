@@ -1,3 +1,4 @@
+open Ujam_linalg
 open Ujam_ir
 
 type kind = Flow | Anti | Output | Input
@@ -30,6 +31,37 @@ let nest_bounds nest =
 let build ?(include_input = true) nest =
   let sites = Array.of_list (Site.of_nest nest) in
   let bounds = nest_bounds nest in
+  (* Sites sharing (array, H) form one group: a pair inside a group is
+     uniform, and its result depends only on c_a - c_b, so it is tested
+     once per (group, difference). *)
+  let groups = Hashtbl.create 16 in
+  let group =
+    Array.map
+      (fun (s : Site.t) ->
+        let key = (Aref.base s.Site.ref_, Aref.h_matrix s.Site.ref_) in
+        match Hashtbl.find_opt groups key with
+        | Some g -> g
+        | None ->
+            let g = (Hashtbl.length groups, Test_pair.prepare (snd key)) in
+            Hashtbl.add groups key g;
+            g)
+      sites
+  in
+  let consts = Array.map (fun (s : Site.t) -> Vec.to_array (Aref.c_vector s.Site.ref_)) sites in
+  let memo = Hashtbl.create 64 in
+  let test a b =
+    let ga, prepared = group.(a) in
+    if ga = fst group.(b) then begin
+      let rhs = Array.map2 ( - ) consts.(a) consts.(b) in
+      match Hashtbl.find_opt memo (ga, rhs) with
+      | Some r -> r
+      | None ->
+          let r = Test_pair.uniform ~bounds prepared rhs in
+          Hashtbl.add memo (ga, rhs) r;
+          r
+    end
+    else Test_pair.test ~bounds sites.(a).Site.ref_ sites.(b).Site.ref_
+  in
   let edges = ref [] in
   let add src dst dvec = edges := { src; dst; kind = kind_of_sites src dst; dvec } :: !edges in
   let n = Array.length sites in
@@ -40,7 +72,7 @@ let build ?(include_input = true) nest =
       if (include_input || not both_reads)
          && String.equal (Aref.base sa.Site.ref_) (Aref.base sb.Site.ref_)
       then
-        match Test_pair.test ~bounds sa.Site.ref_ sb.Site.ref_ with
+        match test a b with
         | Test_pair.Independent -> ()
         | Test_pair.Dependent dvec -> (
             match Depvec.lex_sign dvec with

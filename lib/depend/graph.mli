@@ -15,7 +15,11 @@ val build : ?include_input:bool -> Ujam_ir.Nest.t -> t
     distance vector is lexicographically non-negative: the source is the
     earlier instance.  Loop-independent (all-zero) dependences run from
     the textually earlier site to the later one; ambiguous (leading
-    [Star]) dependences keep the id order of the pair. *)
+    [Star]) dependences keep the id order of the pair.
+
+    A pair of one array and one access matrix [H] is tested once per
+    [(array, H, c1 - c2)] in a memo local to the call; other same-array
+    pairs go through {!Test_pair.test} one by one. *)
 
 val pp_kind : Format.formatter -> kind -> unit
 val pp : Format.formatter -> t -> unit

@@ -3,28 +3,32 @@ open Ujam_ir
 
 type result = Independent | Dependent of Depvec.t
 
-(* Distance set of a uniformly generated pair: solutions of H d = c1 - c2.
-   The exact components are those untouched by ker H; kernel-spanned
-   components vary from instance to instance and become Star. *)
-let uniform_distances ~bounds h c1 c2 =
-  let rhs = Vec.sub c1 c2 in
-  match Mat.solve_int h rhs with
-  | None ->
-      if Option.is_some (Mat.solve_rat h rhs) && not (Mat.is_separable_siv h) then
-        (* A rational solution exists but our particular point is not
-           integral and the matrix is coupled: stay conservative. *)
-        Some (Depvec.all_star (Mat.cols h))
-      else None
-  | Some d0 ->
-      let kernel = Mat.kernel h in
-      let touched = Array.make (Mat.cols h) false in
-      List.iter
-        (fun k ->
-          Array.iteri (fun i x -> if x <> 0 then touched.(i) <- true) (Vec.to_array k))
-        kernel;
+(* Per-[H] facts of a uniformly generated set.  The exact distance
+   components are those untouched by ker H; kernel-spanned components
+   vary from instance to instance and become Star. *)
+type prepared = { h : Mat.t; touched : bool array; coupled : bool }
+
+let prepare h =
+  let touched = Array.make (Mat.cols h) false in
+  List.iter
+    (fun k -> Array.iteri (fun i x -> if x <> 0 then touched.(i) <- true) (Vec.to_array k))
+    (Mat.kernel h);
+  { h; touched; coupled = not (Mat.is_separable_siv h) }
+
+(* Distance set of a uniform pair: solutions of H d = rhs. *)
+let uniform ~bounds p rhs =
+  match Mat.solve_rat p.h (Vec.make rhs) with
+  | None -> Independent
+  | Some x when not (Array.for_all Rat.is_integer x) ->
+      (* A rational solution exists but our particular point is not
+         integral: a coupled matrix stays conservative, a separable one
+         has no integer solution at all. *)
+      if p.coupled then Dependent (Depvec.all_star (Mat.cols p.h)) else Independent
+  | Some x ->
       let dvec =
-        Array.init (Mat.cols h) (fun k ->
-            if touched.(k) then Depvec.Star else Depvec.Exact (Vec.get d0 k))
+        Array.mapi
+          (fun k t -> if t then Depvec.Star else Depvec.Exact (Rat.to_int_exn x.(k)))
+          p.touched
       in
       (* An exact component larger than the loop's iteration range rules
          the whole dependence out. *)
@@ -32,16 +36,12 @@ let uniform_distances ~bounds h c1 c2 =
         match bounds with
         | None -> false
         | Some bs ->
-            Array.exists
-              (fun k ->
-                match dvec.(k) with
-                | Depvec.Exact x ->
-                    let lo, hi = bs.(k) in
-                    abs x > hi - lo
-                | Depvec.Star -> false)
-              (Array.init (Mat.cols h) Fun.id)
+            Array.exists2
+              (fun e (lo, hi) ->
+                match e with Depvec.Exact d -> abs d > hi - lo | Depvec.Star -> false)
+              dvec bs
       in
-      if out_of_range then None else Some dvec
+      if out_of_range then Independent else Dependent dvec
 
 (* Per-dimension GCD + Banerjee tests for a non-uniform pair.  Variables
    are the concatenation (i1, i2). *)
@@ -93,9 +93,6 @@ let test ~bounds r1 r2 =
   else begin
     let h1 = Aref.h_matrix r1 and h2 = Aref.h_matrix r2 in
     let c1 = Aref.c_vector r1 and c2 = Aref.c_vector r2 in
-    if Mat.equal h1 h2 then
-      match uniform_distances ~bounds h1 c1 c2 with
-      | None -> Independent
-      | Some d -> Dependent d
+    if Mat.equal h1 h2 then uniform ~bounds (prepare h1) (Vec.to_array (Vec.sub c1 c2))
     else nonuniform_test ~bounds h1 c1 h2 c2
   end

@@ -14,6 +14,19 @@ type result =
       (** Distance vector of [sink - source] for the pair [(r1, r2)];
           the caller normalises direction from the lexicographic sign. *)
 
+type prepared
+(** What every uniform pair over one access matrix [H] shares: the loops
+    [ker H] touches, and whether [H] is coupled (not separable SIV). *)
+
+val prepare : Ujam_linalg.Mat.t -> prepared
+
+val uniform : bounds:(int * int) array option -> prepared -> int array -> result
+(** [uniform ~bounds (prepare h) rhs] tests [H i + c1] against [H i + c2]
+    with [rhs = c1 - c2]; the result depends only on [(H, rhs, bounds)].
+    A non-integral rational solution is all-[Star] for a coupled [H] and
+    [Independent] otherwise.  {!test} is [prepare] + [uniform] on a
+    uniform pair. *)
+
 val test : bounds:(int * int) array option -> Ujam_ir.Aref.t -> Ujam_ir.Aref.t -> result
 (** [bounds] are per-level inclusive index ranges when the nest has
     constant bounds; they sharpen the tests (distance within the

@@ -236,6 +236,192 @@ let prop_input_subset =
            (fun (e : Graph.edge) -> e.Graph.kind <> Graph.Input)
            no.Graph.edges)
 
+(* The reference builder: [Test_pair.test] on every same-array site pair,
+   with the same direction normalisation as [Graph.build] but no
+   per-(group, difference) memo. *)
+let reference_edges ~include_input nest =
+  let sites = Array.of_list (Site.of_nest nest) in
+  let bounds =
+    let loops = Nest.loops nest in
+    if
+      Array.for_all
+        (fun (l : Loop.t) -> Affine.is_constant l.Loop.lo && Affine.is_constant l.Loop.hi)
+        loops
+    then
+      Some (Array.map (fun (l : Loop.t) -> (l.Loop.lo.Affine.const, l.Loop.hi.Affine.const)) loops)
+    else None
+  in
+  let kind (src : Site.t) (dst : Site.t) =
+    match (Site.is_write src, Site.is_write dst) with
+    | true, false -> Graph.Flow
+    | false, true -> Graph.Anti
+    | true, true -> Graph.Output
+    | false, false -> Graph.Input
+  in
+  let edges = ref [] in
+  let add (src : Site.t) (dst : Site.t) dv =
+    edges := (src.Site.id, dst.Site.id, kind src dst, dv) :: !edges
+  in
+  let n = Array.length sites in
+  for a = 0 to n - 1 do
+    for b = a to n - 1 do
+      let sa = sites.(a) and sb = sites.(b) in
+      let both_reads = (not (Site.is_write sa)) && not (Site.is_write sb) in
+      if (include_input || not both_reads)
+         && String.equal (Aref.base sa.Site.ref_) (Aref.base sb.Site.ref_)
+      then
+        match Test_pair.test ~bounds sa.Site.ref_ sb.Site.ref_ with
+        | Test_pair.Independent -> ()
+        | Test_pair.Dependent dv -> (
+            match Depvec.lex_sign dv with
+            | `Pos | `Ambiguous -> add sa sb dv
+            | `Neg -> add sb sa (Depvec.negate dv)
+            | `Zero ->
+                if a <> b then
+                  if sa.Site.stmt < sb.Site.stmt then add sa sb dv
+                  else if sb.Site.stmt < sa.Site.stmt then add sb sa dv
+                  else if Site.is_write sb then add sa sb dv
+                  else if Site.is_write sa then add sb sa dv
+                  else add sa sb dv)
+    done
+  done;
+  List.rev !edges
+
+let graph_edges ~include_input nest =
+  List.map
+    (fun (e : Graph.edge) -> (e.Graph.src.Site.id, e.Graph.dst.Site.id, e.Graph.kind, e.Graph.dvec))
+    (Graph.build ~include_input nest).Graph.edges
+
+(* Nests over arbitrary small access matrices, coupled ones included:
+   per array one rank and one or two shapes [H], each reference taking a
+   shape and a constant vector, so most same-array pairs are uniform. *)
+let matrix_nest_gen =
+  let open QCheck2.Gen in
+  let* depth = int_range 2 3 in
+  let loops =
+    List.init depth (fun level ->
+        Loop.make_const ~var:(String.make 1 "IJK".[level]) ~level ~depth ~lo:1 ~hi:10 ())
+  in
+  let shape rank = list_size (return rank) (array_size (return depth) (int_range (-1) 2)) in
+  let* refs =
+    flatten_l
+      (List.map
+         (fun base ->
+           let* rank = int_range 1 2 in
+           let* shapes = list_size (int_range 1 2) (shape rank) in
+           list_size (int_range 1 4)
+             (let* coefs = oneofl shapes in
+              let* consts = list_size (return rank) (int_range (-3) 3) in
+              return
+                (Aref.make base
+                   (List.map2 (fun coefs const -> Affine.make ~coefs ~const) coefs consts))))
+         [ "A"; "B" ])
+  in
+  let refs = Array.of_list (List.concat refs) in
+  let pick = map (fun i -> refs.(i)) (int_range 0 (Array.length refs - 1)) in
+  let* body =
+    list_size (int_range 1 3)
+      (let* lhs = pick in
+       let* reads = list_size (int_range 1 3) pick in
+       let reads = List.map (fun r -> Expr.Read r) reads in
+       return
+         (Stmt.store lhs
+            (List.fold_left (fun acc r -> Expr.Bin (Expr.Add, acc, r)) (List.hd reads) (List.tl reads))))
+  in
+  return (Nest.make ~name:"matrix" ~loops ~body)
+
+let prop_graph_matches_reference =
+  QCheck2.Test.make ~name:"depend: graph equals the all-pairs reference" ~count:100
+    ~print:(fun (n, u) -> Nest.to_string n ^ " u=" ^ Vec.to_string u)
+    QCheck2.Gen.(
+      let* nest = oneof [ Gen.nest_gen (); matrix_nest_gen ] in
+      let* space = Gen.space_gen nest in
+      return (nest, Vec.make (Ujam_core.Unroll_space.bounds space)))
+    (fun (nest, u) ->
+      List.for_all
+        (fun n ->
+          List.for_all
+            (fun include_input ->
+              graph_edges ~include_input n = reference_edges ~include_input n)
+            [ true; false ])
+        [ nest; Unroll.unroll_and_jam nest u ])
+
+let loops2 d = [ loop d "J" ~level:0 ~lo:1 ~hi:9 (); loop d "I" ~level:1 ~lo:1 ~hi:9 () ]
+
+let test_group_arrays () =
+  (* A and B share H = identity: they are distinct groups, so no edge
+     joins them and each array's edges are its own. *)
+  let d = 2 in
+  let j = var d 0 and i = var d 1 in
+  let n =
+    nest "two arrays" (loops2 d)
+      [ aref "A" [ i; j ] <<- rd "B" [ i; j -$ 1 ] +: rd "A" [ i; j -$ 1 ];
+        aref "B" [ i; j ] <<- rd "A" [ i; j -$ 2 ] ]
+  in
+  let g = Graph.build ~include_input:true n in
+  Alcotest.(check bool) "edges stay within one array" true
+    (List.for_all
+       (fun (e : Graph.edge) ->
+         String.equal (Aref.base e.Graph.src.Site.ref_) (Aref.base e.Graph.dst.Site.ref_))
+       g.Graph.edges);
+  Alcotest.(check bool) "equals the reference" true
+    (graph_edges ~include_input:true n = reference_edges ~include_input:true n)
+
+let test_group_ranks () =
+  (* A(J) and A(I,J): one array at two ranks is never memoised; the pair
+     is conservatively all-Star. *)
+  let d = 2 in
+  let j = var d 0 and i = var d 1 in
+  let n = nest "ranks" (loops2 d) [ aref "A" [ j ] <<- rd "A" [ i; j ] ] in
+  let cross (e : Graph.edge) = e.Graph.src.Site.id <> e.Graph.dst.Site.id in
+  match List.filter cross (Graph.build ~include_input:false n).Graph.edges with
+  | [ e ] -> Alcotest.check dvec "all star" (Depvec.all_star 2) e.Graph.dvec
+  | es -> Alcotest.failf "expected one edge between the sites, got %d" (List.length es)
+
+let test_group_non_integral () =
+  (* H d = (1, 0) has the rational solution (1/2, 1/2) only. *)
+  let coupled = Test_pair.prepare (Mat.of_rows [| [| 1; 1 |]; [| 1; -1 |] |]) in
+  (match Test_pair.uniform ~bounds:bounds2 coupled [| 1; 0 |] with
+  | Test_pair.Dependent dv -> Alcotest.check dvec "coupled: all star" (Depvec.all_star 2) dv
+  | Test_pair.Independent -> Alcotest.fail "coupled H must stay conservative");
+  let separable = Test_pair.prepare (Mat.of_rows [| [| 2; 0 |]; [| 0; 1 |] |]) in
+  (match Test_pair.uniform ~bounds:bounds2 separable [| 1; 0 |] with
+  | Test_pair.Independent -> ()
+  | Test_pair.Dependent _ -> Alcotest.fail "separable H: no integer solution");
+  (* the same facts through the graph: A(J+I, J-I) vs A(J+I+1, J-I) *)
+  let d = 2 in
+  let j = var d 0 and i = var d 1 in
+  let n =
+    nest "coupled" (loops2 d)
+      [ aref "A" [ j ++$ i; j ++$ ((-1) *$ i) ] <<- rd "A" [ (j ++$ i) +$ 1; j ++$ ((-1) *$ i) ] ]
+  in
+  match (Graph.build ~include_input:false n).Graph.edges with
+  | [ e ] -> Alcotest.check dvec "graph: all star" (Depvec.all_star 2) e.Graph.dvec
+  | es -> Alcotest.failf "expected one edge, got %d" (List.length es)
+
+let test_group_negated () =
+  let p = Test_pair.prepare (Mat.of_rows [| [| 0; 1 |]; [| 1; 0 |] |]) in
+  (match (Test_pair.uniform ~bounds:bounds2 p [| 0; 1 |], Test_pair.uniform ~bounds:bounds2 p [| 0; -1 |]) with
+  | Test_pair.Dependent a, Test_pair.Dependent b ->
+      Alcotest.check dvec "dc" (Depvec.exact (v [ 1; 0 ])) a;
+      Alcotest.check dvec "-dc" (Depvec.negate a) b
+  | _ -> Alcotest.fail "expected two dependences");
+  (* A(I,J) = A(I,J-1) + A(I,J+1): after normalisation both edges carry
+     (1,0), one from the write (flow) and one into it (anti). *)
+  let d = 2 in
+  let j = var d 0 and i = var d 1 in
+  let n =
+    nest "negated" (loops2 d)
+      [ aref "A" [ i; j ] <<- rd "A" [ i; j -$ 1 ] +: rd "A" [ i; j +$ 1 ] ]
+  in
+  let es = (Graph.build ~include_input:false n).Graph.edges in
+  let find k = List.find (fun (e : Graph.edge) -> e.Graph.kind = k) es in
+  let flow = find Graph.Flow and anti = find Graph.Anti in
+  Alcotest.check dvec "flow (1,0)" (Depvec.exact (v [ 1; 0 ])) flow.Graph.dvec;
+  Alcotest.check dvec "anti (1,0)" (Depvec.exact (v [ 1; 0 ])) anti.Graph.dvec;
+  Alcotest.(check bool) "flow leaves the write, anti enters it" true
+    (Site.is_write flow.Graph.src && Site.is_write anti.Graph.dst)
+
 let test_dot_export () =
   let nest = Ujam_kernels.Kernels.dmxpy0 ~n:8 () in
   let dot = Graph.to_dot (Graph.build ~include_input:true nest) in
@@ -265,4 +451,9 @@ let suite =
     Alcotest.test_case "safety semantics" `Quick test_safety_semantics;
     Alcotest.test_case "dot export" `Quick test_dot_export;
     Gen.to_alcotest prop_edges_have_valid_distance;
-    Gen.to_alcotest prop_input_subset ]
+    Alcotest.test_case "group: arrays" `Quick test_group_arrays;
+    Alcotest.test_case "group: ranks" `Quick test_group_ranks;
+    Alcotest.test_case "group: non-integral" `Quick test_group_non_integral;
+    Alcotest.test_case "group: negated" `Quick test_group_negated;
+    Gen.to_alcotest prop_input_subset;
+    Gen.to_alcotest prop_graph_matches_reference ]
