@@ -10,14 +10,19 @@ let m_evictions = Obs.counter "sim.cache.evictions"
 type t = {
   line : int;
   sets : int;
+  line_shift : int;   (* log2 line when a power of two, else -1 *)
+  set_mask : int;     (* sets - 1 when a power of two, else -1 *)
   assoc : int;
   steal : int;        (* fault injection: ways disabled in the last set *)
-  tags : int array;   (* sets * assoc; -1 = invalid *)
+  tags : int array;   (* sets * assoc; [invalid] = empty way *)
   ages : int array;   (* LRU stamps *)
   mutable clock : int;
   mutable accesses : int;
   mutable misses : int;
 }
+
+(* Not -1: that is the block of every address in [-line, -1]. *)
+let invalid = min_int
 
 let create ?(steal_lines = 0) ~size ~line ~assoc () =
   if line <= 0 || assoc <= 0 || size <= 0 then invalid_arg "Cache.create";
@@ -26,11 +31,15 @@ let create ?(steal_lines = 0) ~size ~line ~assoc () =
   if steal_lines < 0 || steal_lines >= assoc then
     invalid_arg "Cache.create: steal_lines out of range";
   let sets = size / (line * assoc) in
+  let pow2 n = n land (n - 1) = 0 in
+  let rec log2 n = if n = 1 then 0 else 1 + log2 (n lsr 1) in
   { line;
     sets;
+    line_shift = (if pow2 line then log2 line else -1);
+    set_mask = (if pow2 sets then sets - 1 else -1);
     assoc;
     steal = steal_lines;
-    tags = Array.make (sets * assoc) (-1);
+    tags = Array.make (sets * assoc) invalid;
     ages = Array.make (sets * assoc) 0;
     clock = 0;
     accesses = 0;
@@ -43,23 +52,29 @@ let of_machine (m : Ujam_machine.Machine.t) =
 let access_gen ~allocate t addr =
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
-  let block = if addr >= 0 then addr / t.line else (addr - t.line + 1) / t.line in
-  let set = ((block mod t.sets) + t.sets) mod t.sets in
+  (* [asr] and [land] floor, so the shift/mask path agrees with the
+     division path for negative addresses too. *)
+  let block =
+    if t.line_shift >= 0 then addr asr t.line_shift
+    else if addr >= 0 then addr / t.line
+    else (addr - t.line + 1) / t.line
+  in
+  let set =
+    if t.set_mask >= 0 then block land t.set_mask
+    else ((block mod t.sets) + t.sets) mod t.sets
+  in
   let base = set * t.assoc in
   (* injected-fault support: the last set loses [steal] ways *)
   let ways = if set = t.sets - 1 then t.assoc - t.steal else t.assoc in
-  let hit = ref false in
-  (try
-     for w = base to base + ways - 1 do
-       if t.tags.(w) = block then begin
-         t.ages.(w) <- t.clock;
-         hit := true;
-         raise Exit
-       end
-     done
-   with Exit -> ());
+  let last = base + ways in
+  let w = ref base in
+  while !w < last && t.tags.(!w) <> block do
+    incr w
+  done;
+  let hit = !w < last in
+  if hit then t.ages.(!w) <- t.clock;
   let evicted = ref false in
-  if not !hit then begin
+  if not hit then begin
     t.misses <- t.misses + 1;
     if allocate then begin
       (* Fill the LRU way. *)
@@ -67,19 +82,19 @@ let access_gen ~allocate t addr =
       for w = base + 1 to base + ways - 1 do
         if t.ages.(w) < t.ages.(!victim) then victim := w
       done;
-      evicted := t.tags.(!victim) >= 0;
+      evicted := t.tags.(!victim) <> invalid;
       t.tags.(!victim) <- block;
       t.ages.(!victim) <- t.clock
     end
   end;
   if Obs.enabled () then begin
     Obs.Counter.incr m_accesses;
-    if not !hit then begin
+    if not hit then begin
       Obs.Counter.incr m_misses;
       if !evicted then Obs.Counter.incr m_evictions
     end
   end;
-  !hit
+  hit
 
 let access t addr = access_gen ~allocate:true t addr
 
@@ -88,7 +103,7 @@ let misses t = t.misses
 let miss_rate t = if t.accesses = 0 then 0.0 else float_of_int t.misses /. float_of_int t.accesses
 
 let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
+  Array.fill t.tags 0 (Array.length t.tags) invalid;
   Array.fill t.ages 0 (Array.length t.ages) 0;
   t.clock <- 0;
   t.accesses <- 0;
@@ -151,15 +166,15 @@ module Hierarchy = struct
     create ?steal_lines (Ujam_machine.Machine.effective_levels m)
 
   let access t ?(write = false) addr =
-    Array.iter
-      (fun ((l : Level.t), c) ->
-        let allocate =
-          match l.Level.write with
-          | Level.Write_allocate -> true
-          | Level.Write_through -> not write
-        in
-        ignore (access_gen ~allocate c addr))
-      t.caches
+    for i = 0 to Array.length t.caches - 1 do
+      let (l : Level.t), c = t.caches.(i) in
+      let allocate =
+        match l.Level.write with
+        | Level.Write_allocate -> true
+        | Level.Write_through -> not write
+      in
+      ignore (access_gen ~allocate c addr)
+    done
 
   let stats t =
     Array.to_list

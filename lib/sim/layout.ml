@@ -1,11 +1,6 @@
 open Ujam_ir
 
-type array_info = {
-  base : int;
-  mins : int array;
-  strides : int array;
-  extents : int array;
-}
+type array_info = { base : int; mins : int array; strides : int array; extents : int array }
 
 type t = { arrays : (string, array_info) Hashtbl.t; footprint : int }
 
@@ -87,19 +82,75 @@ let of_nest nest ~line =
     (List.rev !order);
   { arrays; footprint = !next }
 
-let address t (r : Aref.t) iv =
+(* Fold [base + sum_i (s_i(iv) - min_i) * stride_i] into one affine form.
+   Int arithmetic is modular, so the folded form gives bit-identical
+   addresses even where a product wraps. *)
+let compile t (r : Aref.t) =
   match Hashtbl.find_opt t.arrays (Aref.base r) with
   | None -> invalid_arg "Layout.address: unknown array"
   | Some info ->
-      let addr = ref info.base in
+      let coefs = Array.make (Aref.depth r) 0 in
+      let const = ref info.base in
       Array.iteri
-        (fun i s -> addr := !addr + ((Affine.eval s iv - info.mins.(i)) * info.strides.(i)))
+        (fun i (s : Affine.t) ->
+          const := !const + ((s.Affine.const - info.mins.(i)) * info.strides.(i));
+          Array.iteri (fun k c -> coefs.(k) <- coefs.(k) + (c * info.strides.(i))) s.Affine.coefs)
         r.Aref.subs;
-      !addr
+      Affine.make ~coefs ~const:!const
+
+(* [Affine.eval] without its closure: nothing allocated per call. *)
+let eval (a : Affine.t) iv =
+  let s = ref a.Affine.const in
+  for k = 0 to Array.length a.Affine.coefs - 1 do
+    s := !s + (a.Affine.coefs.(k) * iv.(k))
+  done;
+  !s
+
+let address t r iv = eval (compile t r) iv
+
+(* The loop order of [Nest.iter_index_vectors], with each reference's
+   address computed once per run of the innermost loop and then stepped
+   by [coef * step]. *)
+let iter_trace t nest refs f =
+  let cs = Array.map (compile t) refs in
+  let loops = Nest.loops nest in
+  let d = Array.length loops in
+  let step = loops.(d - 1).Loop.step in
+  let incs = Array.map (fun (c : Affine.t) -> c.Affine.coefs.(d - 1) * step) cs in
+  let addrs = Array.make (Array.length cs) 0 in
+  let iv = Array.make d 0 in
+  let count = ref 0 in
+  let rec go k =
+    let l = loops.(k) in
+    let lo = eval l.Loop.lo iv and hi = eval l.Loop.hi iv in
+    if k < d - 1 then begin
+      let i = ref lo in
+      while !i <= hi do
+        iv.(k) <- !i;
+        go (k + 1);
+        i := !i + l.Loop.step
+      done
+    end
+    else if lo <= hi then begin
+      iv.(k) <- lo;
+      for j = 0 to Array.length cs - 1 do
+        addrs.(j) <- eval cs.(j) iv
+      done;
+      let trips = ((hi - lo) / step) + 1 in
+      count := !count + trips;
+      for _ = 1 to trips do
+        for j = 0 to Array.length addrs - 1 do
+          let a = addrs.(j) in
+          f j a;
+          addrs.(j) <- a + incs.(j)
+        done
+      done
+    end
+  in
+  go 0;
+  !count
 
 let footprint t = t.footprint
 
-let extent t base =
-  match Hashtbl.find_opt t.arrays base with
-  | Some info -> Array.copy info.extents
-  | None -> raise Not_found
+let info t base = Hashtbl.find t.arrays base
+let extent t base = Array.copy (info t base).extents

@@ -7,13 +7,38 @@
 
 type t
 
+type array_info = { base : int; mins : int array; strides : int array; extents : int array }
+(** Where an array lives: [base] is the address of the element at the
+    per-dimension subscript minima [mins]; [strides] are column-major.
+    {!info} returns the layout's own arrays: do not mutate them. *)
+
 val of_nest : Ujam_ir.Nest.t -> line:int -> t
 
+val compile : t -> Ujam_ir.Aref.t -> Ujam_ir.Affine.t
+(** The reference's element address as one affine form of the index
+    vector: [const = base + sum_i (c_i - min_i) * stride_i] and
+    [coefs.(k) = sum_i H_ik * stride_i].  Bit-identical to evaluating
+    each subscript separately (int arithmetic is modular).
+    @raise Invalid_argument for an array the layout does not hold. *)
+
 val address : t -> Ujam_ir.Aref.t -> int array -> int
-(** Element address of the reference at the given index vector. *)
+(** Element address of the reference at the given index vector
+    ([compile] then evaluate). *)
+
+val iter_trace : t -> Ujam_ir.Nest.t -> Ujam_ir.Aref.t array -> (int -> int -> unit) -> int
+(** [iter_trace t nest refs f] walks the iteration space in the order of
+    {!Ujam_ir.Nest.iter_index_vectors} (bounds evaluated per outer index
+    vector, so triangular bounds and steps > 1 hold) and calls [f j addr]
+    for every reference [refs.(j)] in order at every iteration.  Each
+    address is computed once per run of the innermost loop and then
+    stepped by its innermost coefficient times the step.  Returns the
+    number of iterations. *)
 
 val footprint : t -> int
 (** Total elements allocated. *)
+
+val info : t -> string -> array_info
+(** @raise Not_found for unknown arrays. *)
 
 val extent : t -> string -> int array
 (** Per-dimension extents of an array.

@@ -30,4 +30,5 @@ let () =
       ("oracle", Test_oracle.suite);
       ("native", Test_native.suite);
       ("serve", Test_serve.suite);
-      ("invariants", Test_invariants.suite) ]
+      ("invariants", Test_invariants.suite);
+      ("docs", Test_docs.suite) ]
