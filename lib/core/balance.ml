@@ -31,9 +31,7 @@ let prepare ?groups ~machine space nest =
     match groups with Some gs -> gs | None -> Ugs.of_nest nest
   in
   let build_group (g : Ugs.t) =
-    let stream =
-      (Locality.ugs_cost ~line:machine.Machine.cache_line ~localized g).Locality.stream
-    in
+    let stream = Locality.stream_of ~localized g.Ugs.h in
     { ugs = g;
       stream;
       gts = Tables.gts_exact_table space ~localized g;

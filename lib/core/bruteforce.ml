@@ -17,11 +17,23 @@ let metrics ~machine nest u =
   let unrolled = Transform.apply_exn (Transform.Unroll u) nest in
   let d = Nest.depth unrolled in
   let localized = Subspace.span_dims ~dim:d [ d - 1 ] in
-  let summary = Streams.summarize (Streams.of_body ~localized unrolled) in
-  let flops = Nest.flops_per_iteration unrolled in
-  let misses =
-    Locality.nest_accesses ~line:machine.Machine.cache_line ~localized unrolled
+  (* One prepared solve and one temporal partition per UGS serve both the
+     streams and Equation 1. *)
+  let per_ugs =
+    List.map
+      (fun (g : Ugs.t) ->
+        let solver = Subspace.prepare g.Ugs.h localized in
+        let temporal = Groups.temporal_partition solver g in
+        let cost =
+          Locality.ugs_cost ~temporal ~line:machine.Machine.cache_line ~localized g
+        in
+        let invariant = cost.Locality.stream = Locality.Invariant in
+        (Streams.of_partition solver ~invariant g temporal, cost.Locality.accesses))
+      (Ugs.of_nest unrolled)
   in
+  let summary = Streams.summarize (List.concat_map fst per_ugs) in
+  let misses = List.fold_left (fun acc (_, a) -> acc +. a) 0.0 per_ugs in
+  let flops = Nest.flops_per_iteration unrolled in
   let v_m = float_of_int summary.Streams.memory_ops in
   let v_f = float_of_int flops in
   let balance_nocache = if v_f = 0.0 then infinity else v_m /. v_f in

@@ -47,6 +47,7 @@ let incremental_rrs_table space ~localized nest =
     (fun (g : Ugs.t) ->
       let h = g.Ugs.h in
       let solver = Solvers.temporal ~h ~localized ~unroll_levels in
+      let local = Subspace.prepare h localized in
       let kernel_gens = Solvers.kernel_moves ~h ~localized ~unroll_levels in
       (* Signed lattice shifts of a base offset difference. *)
       let signed_variants base =
@@ -101,7 +102,7 @@ let incremental_rrs_table space ~localized nest =
                             j at u': the witness's innermost component is
                             i's generation time relative to j's use. *)
                          let rhs = Vec.sub (Vec.sub c_i c_j) (Mat.apply h v) in
-                         match Subspace.solution_in h rhs localized with
+                         match Subspace.solve local rhs with
                          | None -> false
                          | Some x ->
                              if invariant_j then

@@ -8,11 +8,12 @@ type t = c_from:Vec.t -> c_to:Vec.t -> key option
 let solver ~h ~localized ~unroll_levels ~truncate =
   let depth = Mat.cols h in
   let joined = Subspace.join localized (Subspace.span_dims ~dim:depth unroll_levels) in
+  let prepared = Subspace.prepare h joined in
   let innermost = depth - 1 in
   fun ~c_from ~c_to ->
     let diff = Vec.sub c_to c_from in
     let diff = if truncate && Vec.dim diff > 0 then Vec.set diff 0 0 else diff in
-    match Subspace.solution_in h diff joined with
+    match Subspace.solve prepared diff with
     | None -> None
     | Some x ->
         let m =

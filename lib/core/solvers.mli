@@ -17,6 +17,8 @@ type key = {
 }
 
 type t = c_from:Vec.t -> c_to:Vec.t -> key option
+(** A solver prepares [H] against [L] joined with the unroll levels once
+    ({!Subspace.prepare}); each query is one {!Subspace.solve}. *)
 
 val temporal :
   h:Mat.t -> localized:Subspace.t -> unroll_levels:int list -> t

@@ -56,19 +56,18 @@ let split_at_defs ~base ~h ~invariant members =
 
 let build ~base ~h ~invariant members = split_at_defs ~base ~h ~invariant (time_sort members)
 
-let class_streams ~h ~localized ~base (sites : Site.t list) =
+(* Each member's time offset is its witness's innermost component
+   relative to the class leader; [solver] is [H] prepared against [L]. *)
+let class_streams solver ~invariant ~h ~base (sites : Site.t list) =
   match sites with
   | [] -> []
   | leader :: _ ->
-      let invariant = Selfreuse.has_self_temporal ~localized h in
       let c0 = Aref.c_vector leader.Site.ref_ in
       let members =
         List.map
           (fun (s : Site.t) ->
             let delta =
-              match
-                Subspace.solution_in h (Vec.sub (Aref.c_vector s.Site.ref_) c0) localized
-              with
+              match Subspace.solve solver (Vec.sub (Aref.c_vector s.Site.ref_) c0) with
               | Some x -> Vec.get x (Vec.dim x - 1)
               | None -> 0 (* unreachable: sites come from one GTS class *)
             in
@@ -77,13 +76,19 @@ let class_streams ~h ~localized ~base (sites : Site.t list) =
       in
       split_at_defs ~base ~h ~invariant (time_sort members)
 
+let of_partition solver ~invariant (u : Ugs.t) (part : Groups.partition) =
+  List.concat_map
+    (class_streams solver ~invariant ~h:u.Ugs.h ~base:u.Ugs.base)
+    part.Groups.classes
+
 let of_body ~localized nest =
   List.concat_map
     (fun (u : Ugs.t) ->
-      let part = Groups.group_temporal ~localized u in
-      List.concat_map
-        (fun cls -> class_streams ~h:u.Ugs.h ~localized ~base:u.Ugs.base cls)
-        part.Groups.classes)
+      let solver = Subspace.prepare u.Ugs.h localized in
+      of_partition solver
+        ~invariant:(Selfreuse.has_self_temporal ~localized u.Ugs.h)
+        u
+        (Groups.temporal_partition solver u))
     (Ugs.of_nest nest)
 
 type summary = { streams : int; memory_ops : int; registers : int }
@@ -124,7 +129,8 @@ let unrolled_summary_fn space ~localized (ugs : Ugs.t) =
   let solver =
     Solvers.temporal ~h ~localized ~unroll_levels:(Unroll_space.unroll_levels space)
   in
-  let classes = (Groups.group_temporal ~localized ugs).Groups.classes in
+  let local = Subspace.prepare h localized in
+  let classes = (Groups.temporal_partition local ugs).Groups.classes in
   (* Pre-resolve each member's time offset relative to its class leader. *)
   let resolved_classes =
     List.map
@@ -134,10 +140,7 @@ let unrolled_summary_fn space ~localized (ugs : Ugs.t) =
           List.map
             (fun (s : Site.t) ->
               let d_rel =
-                match
-                  Subspace.solution_in h (Vec.sub (Aref.c_vector s.Site.ref_) c0)
-                    localized
-                with
+                match Subspace.solve local (Vec.sub (Aref.c_vector s.Site.ref_) c0) with
                 | Some x -> Vec.get x (Vec.dim x - 1)
                 | None -> 0
               in

@@ -44,6 +44,15 @@ val build :
     the member sets by other means. *)
 
 val of_body : localized:Subspace.t -> Ujam_ir.Nest.t -> stream list
+(** Streams of every UGS of the body, each UGS's [H] prepared once
+    against [L] for its partition and its members' time offsets. *)
+
+val of_partition :
+  Subspace.prepared -> invariant:bool -> Ugs.t -> Groups.partition -> stream list
+(** [of_partition (Subspace.prepare u.h localized) ~invariant u p] is the
+    streams of one UGS from its group-temporal partition [p] in the same
+    [L]; [invariant] is {!Selfreuse.has_self_temporal} of [u.h] in [L].
+    {!of_body} is this over every UGS. *)
 
 type summary = { streams : int; memory_ops : int; registers : int }
 

@@ -3,27 +3,31 @@ open Ujam_ir
 
 type result = Independent | Dependent of Depvec.t
 
-(* Per-[H] facts of a uniformly generated set.  The exact distance
-   components are those untouched by ker H; kernel-spanned components
-   vary from instance to instance and become Star. *)
-type prepared = { h : Mat.t; touched : bool array; coupled : bool }
+(* Per-[H] facts of a uniformly generated set: [H] eliminated over the
+   whole iteration space, the loops ker H touches and the coupled flag.
+   The exact distance components are those untouched by ker H;
+   kernel-spanned components vary from instance to instance and become
+   Star. *)
+type prepared = { solver : Subspace.prepared; touched : bool array; coupled : bool }
 
 let prepare h =
   let touched = Array.make (Mat.cols h) false in
   List.iter
     (fun k -> Array.iteri (fun i x -> if x <> 0 then touched.(i) <- true) (Vec.to_array k))
     (Mat.kernel h);
-  { h; touched; coupled = not (Mat.is_separable_siv h) }
+  { solver = Subspace.prepare h (Subspace.full (Mat.cols h));
+    touched;
+    coupled = not (Mat.is_separable_siv h) }
 
 (* Distance set of a uniform pair: solutions of H d = rhs. *)
 let uniform ~bounds p rhs =
-  match Mat.solve_rat p.h (Vec.make rhs) with
+  match Subspace.solve_rat p.solver (Vec.make rhs) with
   | None -> Independent
   | Some x when not (Array.for_all Rat.is_integer x) ->
       (* A rational solution exists but our particular point is not
          integral: a coupled matrix stays conservative, a separable one
          has no integer solution at all. *)
-      if p.coupled then Dependent (Depvec.all_star (Mat.cols p.h)) else Independent
+      if p.coupled then Dependent (Depvec.all_star (Array.length p.touched)) else Independent
   | Some x ->
       let dvec =
         Array.mapi

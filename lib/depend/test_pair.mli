@@ -15,14 +15,18 @@ type result =
           the caller normalises direction from the lexicographic sign. *)
 
 type prepared
-(** What every uniform pair over one access matrix [H] shares: the loops
-    [ker H] touches, and whether [H] is coupled (not separable SIV). *)
+(** What every uniform pair over one access matrix [H] shares: [H]
+    eliminated over the whole iteration space
+    ({!Ujam_linalg.Subspace.prepare}), the loops [ker H] touches, and
+    whether [H] is coupled (not separable SIV). *)
 
 val prepare : Ujam_linalg.Mat.t -> prepared
 
 val uniform : bounds:(int * int) array option -> prepared -> int array -> result
 (** [uniform ~bounds (prepare h) rhs] tests [H i + c1] against [H i + c2]
     with [rhs = c1 - c2]; the result depends only on [(H, rhs, bounds)].
+    The particular solution is {!Ujam_linalg.Subspace.solve_rat}, which
+    is [Mat.solve_rat h rhs].
     A non-integral rational solution is all-[Star] for a coupled [H] and
     [Independent] otherwise.  {!test} is [prepare] + [uniform] on a
     uniform pair. *)

@@ -11,9 +11,13 @@ let var ~depth k =
 
 let depth t = Array.length t.coefs
 
+(* Plain loops: no closure and no boxed accumulator per call (the
+   simulator and the interpreter evaluate per access). *)
 let eval t iv =
   let s = ref t.const in
-  Array.iteri (fun k c -> s := !s + (c * iv.(k))) t.coefs;
+  for k = 0 to Array.length t.coefs - 1 do
+    s := !s + (t.coefs.(k) * iv.(k))
+  done;
   !s
 
 let add a b =
@@ -26,7 +30,9 @@ let scale k t = { coefs = Array.map (fun c -> k * c) t.coefs; const = k * t.cons
 let shift t o =
   if Array.length o <> depth t then invalid_arg "Affine.shift: depth";
   let delta = ref 0 in
-  Array.iteri (fun k c -> delta := !delta + (c * o.(k))) t.coefs;
+  for k = 0 to Array.length t.coefs - 1 do
+    delta := !delta + (t.coefs.(k) * o.(k))
+  done;
   (* Zero-offset shifts (every unchanged copy in an unroll-and-jam
      body) return the original, so unchanged subtrees stay shared. *)
   if !delta = 0 then t else { t with const = t.const + !delta }

@@ -73,13 +73,14 @@ let of_cols vs dim =
 
 (* Reduced row echelon form over rationals.  Returns the reduced matrix
    and the pivot column of each pivot row. *)
-let rref_rat (m : Rat.t array array) : Rat.t array array * int array =
+let rref_rat ?pivot_cols (m : Rat.t array array) : Rat.t array array * int array =
   let nrows = Array.length m in
   let ncols = if nrows = 0 then 0 else Array.length m.(0) in
+  let pivot_cols = Option.value pivot_cols ~default:ncols in
   let a = Array.map Array.copy m in
   let pivots = ref [] in
   let r = ref 0 in
-  for c = 0 to ncols - 1 do
+  for c = 0 to pivot_cols - 1 do
     if !r < nrows then begin
       (* Find a non-zero pivot in column c at or below row !r. *)
       let piv = ref (-1) in

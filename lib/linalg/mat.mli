@@ -48,6 +48,14 @@ val of_cols : Vec.t list -> int -> t
 
 val rank : t -> int
 
+val rref_rat : ?pivot_cols:int -> Rat.t array array -> Rat.t array array * int array
+(** Gauss-Jordan elimination over the rationals: the reduced matrix and
+    the pivot column of each pivot row.  Pivots are sought only in the
+    first [pivot_cols] columns (default: all), left to right, taking the
+    first non-zero entry at or below the current row; the remaining
+    columns are carried along by the row operations.  {!solve_rat},
+    {!kernel} and {!row_space} are this elimination. *)
+
 val kernel : t -> Vec.t list
 (** Basis of the rational nullspace, rescaled to primitive integer
     vectors.  The empty list means the kernel is trivial. *)

@@ -12,7 +12,8 @@ let of_basis ~dim vs =
   in
   { ambient = dim; basis }
 
-let full n = of_basis ~dim:n (List.init n (Vec.unit n))
+(* The unit vectors are already the canonical rows of the identity. *)
+let full n = { ambient = n; basis = List.init n (Vec.unit n) }
 let trivial n = { ambient = n; basis = [] }
 let span_dims ~dim ds = of_basis ~dim (List.map (Vec.unit dim) ds)
 
@@ -59,29 +60,88 @@ let intersect a b =
     of_basis ~dim:a.ambient vectors
   end
 
-let solution_in h c l =
-  if Mat.cols h <> l.ambient then invalid_arg "Subspace.solution_in: dimension";
-  if Vec.is_zero c then Some (Vec.zero l.ambient)
-  else if is_trivial l then None
+(* The elimination of [H B] against [L = span B] depends on [H] and [L]
+   alone: run it once on [H B | I], pivoting only on the [H B] columns,
+   and keep the row operations [E].  Any right-hand side [c] is then
+   [E c]: the rows past the rank must vanish, and the pivot rows give [y]
+   with free variables zero — the same pivots, so the same [y], as
+   eliminating [H B | c]. *)
+type factored = {
+  b : int array array; (* the basis vectors of [L], as arrays *)
+  pivots : int array; (* the [y] component each pivot row solves for *)
+  e : Rat.t array array; (* rows(H) x rows(H) *)
+}
+
+(* The elimination runs at the first non-zero right-hand side: most UGSs
+   have a single member, or a single constant, and never need it.  Two
+   domains racing on [factored] compute the same value. *)
+type prepared = { h : Mat.t; space : t; mutable factored : factored option }
+
+let prepare h (l : t) =
+  if Mat.cols h <> l.ambient then invalid_arg "Subspace.prepare: dimension";
+  { h; space = l; factored = None }
+
+let factor p =
+  match p.factored with
+  | Some f -> f
+  | None ->
+      let m = Mat.rows p.h and k = dim p.space in
+      let hb = Mat.mul p.h (cols_matrix p.space) in
+      let aug =
+        Array.init m (fun i ->
+            Array.init (k + m) (fun j ->
+                if j < k then Rat.of_int (Mat.get hb i j)
+                else if j - k = i then Rat.one
+                else Rat.zero))
+      in
+      let a, pivots = Mat.rref_rat ~pivot_cols:k aug in
+      let f =
+        { b = Array.of_list (List.map Vec.to_array p.space.basis);
+          pivots;
+          e = Array.map (fun row -> Array.sub row k m) a }
+      in
+      p.factored <- Some f;
+      f
+
+let solve_rat p c =
+  let n = p.space.ambient in
+  if Vec.is_zero c then Some (Array.make n Rat.zero)
   else begin
-    let b = cols_matrix l in
-    let hb = Mat.mul h b in
-    match Mat.solve_rat hb c with
+    let m = Mat.rows p.h in
+    if Vec.dim c <> m then invalid_arg "Subspace.solve: dimension";
+    let f = factor p in
+    (* the entries of [E c], and of [x = B y], summed in index order *)
+    let dot row v =
+      let s = ref Rat.zero in
+      Array.iteri
+        (fun j r ->
+          if v j <> 0 && not (Rat.is_zero r) then s := Rat.add !s (Rat.mul r (Rat.of_int (v j))))
+        row;
+      !s
+    in
+    let ec i = dot f.e.(i) (Vec.get c) in
+    let rank = Array.length f.pivots in
+    let rec consistent i = i >= m || (Rat.is_zero (ec i) && consistent (i + 1)) in
+    if not (consistent rank) then None
+    else begin
+      let y = Array.make (Array.length f.b) Rat.zero in
+      Array.iteri (fun prow pcol -> y.(pcol) <- ec prow) f.pivots;
+      Some (Array.init n (fun i -> dot y (fun j -> f.b.(j).(i))))
+    end
+  end
+
+let solve p c =
+  if Vec.is_zero c then Some (Vec.zero p.space.ambient)
+  else
+    match solve_rat p c with
     | None -> None
-    | Some y ->
+    | Some x ->
         (* x = B y must be integral to be an iteration-space vector. *)
-        let x =
-          Array.init l.ambient (fun i ->
-              let s = ref Rat.zero in
-              List.iteri
-                (fun j bj -> s := Rat.add !s (Rat.mul y.(j) (Rat.of_int (Vec.get bj i))))
-                l.basis;
-              !s)
-        in
         if Array.for_all Rat.is_integer x then
           Some (Vec.make (Array.map Rat.to_int_exn x))
         else None
-  end
+
+let solution_in h c l = solve (prepare h l) c
 
 let solvable_in h c l = Option.is_some (solution_in h c l)
 

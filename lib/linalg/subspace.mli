@@ -43,6 +43,31 @@ val solvable_in : Mat.t -> Vec.t -> t -> bool
     parameterisations. *)
 
 val solution_in : Mat.t -> Vec.t -> t -> Vec.t option
-(** Like {!solvable_in} but returns the witness [x]. *)
+(** Like {!solvable_in} but returns the witness [x]: [x = B y] for the
+    basis [B] of the subspace and the particular rational solution [y] of
+    [H B y = c] with free variables zero.  It is [solve (prepare h l) c]. *)
+
+type prepared
+(** [H] eliminated against one subspace [L]: everything {!solution_in}
+    computes that does not depend on [c].  All members of a uniformly
+    generated set share [H], so their reuse tests in one localized space
+    share one [prepared]. *)
+
+val prepare : Mat.t -> t -> prepared
+(** [prepare h l] factors [H] against [L]: Gauss-Jordan elimination
+    ({!Mat.rref_rat}) on [H B | I], pivoting only on the [H B] columns,
+    recording the rank, the pivot columns and the row operations [E]
+    (the [I] half).  The pivots are those {!Mat.solve_rat} finds on
+    [H B | c] for any [c].  The elimination runs once, at the first
+    non-zero [c] solved. *)
+
+val solve : prepared -> Vec.t -> Vec.t option
+(** [solve (prepare h l) c] is [solution_in h c l], bit for bit: [E c]
+    must vanish past the rank, the pivot rows give [y], and [x = B y]
+    must be integral. *)
+
+val solve_rat : prepared -> Vec.t -> Rat.t array option
+(** The rational witness [B y] before the integrality check.  Over the
+    full space ([B] the identity) it is [Mat.solve_rat h c]. *)
 
 val pp : Format.formatter -> t -> unit

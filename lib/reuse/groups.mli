@@ -16,7 +16,15 @@ type partition = {
 }
 
 val group_temporal : localized:Subspace.t -> Ugs.t -> partition
+(** [temporal_partition (Subspace.prepare u.h localized) u]. *)
+
+val temporal_partition : Subspace.prepared -> Ugs.t -> partition
+(** The group-temporal partition with [H] already eliminated against
+    [L] ([Subspace.prepare u.h localized]), for callers that solve the
+    same system again for their members' witnesses. *)
+
 val group_spatial : localized:Subspace.t -> Ugs.t -> partition
+(** Prepares [H_s] against [L] once for the whole partition. *)
 
 val count : partition -> int
 val leaders : partition -> Ujam_ir.Site.t list

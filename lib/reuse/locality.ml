@@ -11,15 +11,23 @@ type ugs_cost = {
   accesses : float;
 }
 
-let ugs_cost ~line ~localized (u : Ugs.t) =
+(* [Selfreuse.has_self_temporal], then [has_self_spatial], sharing the
+   self-temporal intersection. *)
+let stream_of ~localized h =
+  let st = Subspace.intersect (Selfreuse.self_temporal h) localized in
+  if not (Subspace.is_trivial st) then Invariant
+  else if Subspace.dim (Subspace.intersect (Selfreuse.self_spatial h) localized) > 0
+  then Unit_stride
+  else No_reuse
+
+let ugs_cost ?temporal ~line ~localized (u : Ugs.t) =
   if line <= 0 then invalid_arg "Locality.ugs_cost: line size";
-  let g_t = Groups.count (Groups.group_temporal ~localized u) in
-  let g_s = Groups.count (Groups.group_spatial ~localized u) in
-  let stream =
-    if Selfreuse.has_self_temporal ~localized u.Ugs.h then Invariant
-    else if Selfreuse.has_self_spatial ~localized u.Ugs.h then Unit_stride
-    else No_reuse
+  let temporal =
+    match temporal with Some p -> p | None -> Groups.group_temporal ~localized u
   in
+  let g_t = Groups.count temporal in
+  let g_s = Groups.count (Groups.group_spatial ~localized u) in
+  let stream = stream_of ~localized u.Ugs.h in
   let l = float_of_int line in
   let groups = float_of_int g_s +. (float_of_int (g_t - g_s) /. l) in
   let base =

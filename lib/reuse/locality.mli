@@ -24,7 +24,15 @@ type ugs_cost = {
   accesses : float;  (** memory accesses per localized iteration *)
 }
 
-val ugs_cost : line:int -> localized:Subspace.t -> Ugs.t -> ugs_cost
+val stream_of : localized:Subspace.t -> Mat.t -> stream
+(** The stream kind of a UGS with access matrix [H] in [L]: invariant
+    when {!Selfreuse.has_self_temporal}, else unit-stride when
+    {!Selfreuse.has_self_spatial}. *)
+
+val ugs_cost :
+  ?temporal:Groups.partition -> line:int -> localized:Subspace.t -> Ugs.t -> ugs_cost
+(** [temporal] supplies the UGS's group-temporal partition in [L] when
+    the caller has already built it. *)
 
 val nest_accesses :
   ?groups:Ugs.t list -> line:int -> localized:Subspace.t -> Ujam_ir.Nest.t -> float

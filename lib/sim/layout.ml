@@ -98,15 +98,7 @@ let compile t (r : Aref.t) =
         r.Aref.subs;
       Affine.make ~coefs ~const:!const
 
-(* [Affine.eval] without its closure: nothing allocated per call. *)
-let eval (a : Affine.t) iv =
-  let s = ref a.Affine.const in
-  for k = 0 to Array.length a.Affine.coefs - 1 do
-    s := !s + (a.Affine.coefs.(k) * iv.(k))
-  done;
-  !s
-
-let address t r iv = eval (compile t r) iv
+let address t r iv = Affine.eval (compile t r) iv
 
 (* The loop order of [Nest.iter_index_vectors], with each reference's
    address computed once per run of the innermost loop and then stepped
@@ -122,7 +114,7 @@ let iter_trace t nest refs f =
   let count = ref 0 in
   let rec go k =
     let l = loops.(k) in
-    let lo = eval l.Loop.lo iv and hi = eval l.Loop.hi iv in
+    let lo = Affine.eval l.Loop.lo iv and hi = Affine.eval l.Loop.hi iv in
     if k < d - 1 then begin
       let i = ref lo in
       while !i <= hi do
@@ -134,7 +126,7 @@ let iter_trace t nest refs f =
     else if lo <= hi then begin
       iv.(k) <- lo;
       for j = 0 to Array.length cs - 1 do
-        addrs.(j) <- eval cs.(j) iv
+        addrs.(j) <- Affine.eval cs.(j) iv
       done;
       let trips = ((hi - lo) / step) + 1 in
       count := !count + trips;

@@ -206,6 +206,92 @@ let prop_spatial_coarsens_temporal =
             gts.Groups.classes)
         (Ugs.of_nest nest))
 
+(* The partition as it was built before the prepared solve: a scan
+   against class leaders with appends, under the full-RREF reference
+   predicate.  Class order and member order must survive. *)
+let reference_partition ~merges (u : Ugs.t) =
+  let sorted =
+    List.stable_sort
+      (fun (a : Site.t) (b : Site.t) ->
+        Vec.compare (Aref.c_vector a.Site.ref_) (Aref.c_vector b.Site.ref_))
+      u.Ugs.members
+  in
+  let classes : Site.t list ref list ref = ref [] in
+  List.iter
+    (fun (s : Site.t) ->
+      let c = Aref.c_vector s.Site.ref_ in
+      let rec place = function
+        | [] -> classes := !classes @ [ ref [ s ] ]
+        | cell :: rest ->
+            let leader = List.hd !cell in
+            if merges ~c1:c ~c2:(Aref.c_vector leader.Site.ref_) then cell := !cell @ [ s ]
+            else place rest
+      in
+      place !classes)
+    sorted;
+  List.map (fun cell -> !cell) !classes
+
+(* One UGS over an arbitrary integer H (coupled, zero columns,
+   rank-deficient), with repeated constants and mixed reads/writes. *)
+let ugs_gen =
+  QCheck2.Gen.(
+    let* h = Test_subspace.matrix_gen in
+    let rank = Mat.rows h and depth = Mat.cols h in
+    let* consts =
+      list_size (int_range 1 10) (array_size (return rank) (int_range (-3) 3))
+    in
+    let* writes = list_size (return (List.length consts)) bool in
+    let members =
+      List.mapi
+        (fun id (cs, w) ->
+          { Site.id;
+            stmt = id / 3;
+            kind = (if w then Site.Write else Site.Read);
+            ref_ =
+              Aref.make "A"
+                (List.init rank (fun r ->
+                     Affine.make ~coefs:(Array.init depth (fun k -> Mat.get h r k)) ~const:cs.(r)))
+          })
+        (List.combine consts writes)
+    in
+    let* localized = Test_subspace.subspace_gen depth in
+    return ({ Ugs.base = "A"; h; members }, localized))
+
+let prop_groups_match_reference =
+  QCheck2.Test.make ~name:"reuse: GTS/GSS partitions = pairwise reference partition" ~count:300
+    ~print:(fun ((u : Ugs.t), l) ->
+      Printf.sprintf "H=%s L=%s c=[%s]" (Mat.to_string u.Ugs.h)
+        (Format.asprintf "%a" Subspace.pp l)
+        (String.concat "; "
+           (List.map (fun (s : Site.t) -> Vec.to_string (Aref.c_vector s.Site.ref_)) u.Ugs.members)))
+    ugs_gen
+    (fun ((u : Ugs.t), localized) ->
+      let ids = List.map (List.map (fun (s : Site.t) -> s.Site.id)) in
+      let solvable h d = Option.is_some (Test_subspace.Reference.solution_in h d localized) in
+      let temporal ~c1 ~c2 = solvable u.Ugs.h (Vec.sub c1 c2) in
+      let spatial ~c1 ~c2 =
+        solvable (Selfreuse.spatial_matrix u.Ugs.h) (Vec.set (Vec.sub c1 c2) 0 0)
+      in
+      (* every pair shares a class exactly when the reference predicate
+         holds *)
+      let pairwise merges classes =
+        List.for_all
+          (fun (a : Site.t) ->
+            List.for_all
+              (fun (b : Site.t) ->
+                let same =
+                  List.exists (fun cls -> List.memq a cls && List.memq b cls) classes
+                in
+                same = merges ~c1:(Aref.c_vector a.Site.ref_) ~c2:(Aref.c_vector b.Site.ref_))
+              u.Ugs.members)
+          u.Ugs.members
+      in
+      let gts = (Groups.group_temporal ~localized u).Groups.classes in
+      let gss = (Groups.group_spatial ~localized u).Groups.classes in
+      ids gts = ids (reference_partition ~merges:temporal u)
+      && ids gss = ids (reference_partition ~merges:spatial u)
+      && pairwise temporal gts && pairwise spatial gss)
+
 (* --- static per-level miss-ratio prediction vs. the hierarchy simulator --- *)
 
 let mismatch_strings (out : Ujam_oracle.Cachepred.outcome) =
@@ -336,4 +422,5 @@ let suite =
       test_machine_geometry_validation;
     Gen.to_alcotest prop_group_counts_consistent;
     Gen.to_alcotest prop_partition_is_partition;
-    Gen.to_alcotest prop_spatial_coarsens_temporal ]
+    Gen.to_alcotest prop_spatial_coarsens_temporal;
+    Gen.to_alcotest prop_groups_match_reference ]

@@ -111,6 +111,122 @@ let prop_solution_in_sound =
       | Some x -> Vec.equal (Mat.apply h x) c && Subspace.mem x l
       | None -> true)
 
+(* The solve before [Subspace.prepare]: per call, the basis matrix [B],
+   [H B] and a full rational elimination of [H B | c].  The prepared
+   solve must agree with it bit for bit. *)
+module Reference = struct
+  let witness_rat h c l =
+    let n = Subspace.ambient_dim l in
+    if Mat.cols h <> n then invalid_arg "Reference.witness_rat: dimension";
+    if Vec.is_zero c then Some (Array.make n Rat.zero)
+    else if Subspace.is_trivial l then None
+    else begin
+      let b = Mat.of_cols (Subspace.basis l) n in
+      match Mat.solve_rat (Mat.mul h b) c with
+      | None -> None
+      | Some y ->
+          Some
+            (Array.init n (fun i ->
+                 let s = ref Rat.zero in
+                 List.iteri
+                   (fun j bj -> s := Rat.add !s (Rat.mul y.(j) (Rat.of_int (Vec.get bj i))))
+                   (Subspace.basis l);
+                 !s))
+    end
+
+  let solution_in h c l =
+    match witness_rat h c l with
+    | None -> None
+    | Some x ->
+        if Array.for_all Rat.is_integer x then
+          Some (Vec.make (Array.map Rat.to_int_exn x))
+        else None
+end
+
+(* Integer matrices with negative entries, some with a zeroed column or
+   a dependent last row, in every shape up to 3 x 4. *)
+let matrix_gen =
+  QCheck2.Gen.(
+    let* rows = int_range 1 3 in
+    let* cols = int_range 1 4 in
+    let* a = array_size (return rows) (array_size (return cols) (int_range (-3) 3)) in
+    let* zero_col = option (int_range 0 (cols - 1)) in
+    let* dependent = bool in
+    let* k = int_range (-2) 2 in
+    let a =
+      Array.mapi
+        (fun i r -> if dependent && rows >= 2 && i = rows - 1 then Array.map (( * ) k) a.(0) else r)
+        a
+    in
+    return
+      (Mat.of_rows (Array.map (Array.mapi (fun j x -> if Some j = zero_col then 0 else x)) a)))
+
+(* Trivial, coordinate, full or a random span of ambient dimension n. *)
+let subspace_gen n =
+  QCheck2.Gen.(
+    oneof
+      [ return (Subspace.trivial n);
+        return (Subspace.full n);
+        map
+          (fun ds -> Subspace.span_dims ~dim:n (List.filter (fun d -> List.mem d ds) (List.init n Fun.id)))
+          (list_size (int_range 1 n) (int_range 0 (n - 1)));
+        map (Subspace.of_basis ~dim:n) (list_size (int_range 1 n) (Gen.vec_gen ~dim:n ~lo:(-2) ~hi:2)) ])
+
+(* Right-hand sides: random, zero, or H x for an integer x in l (so the
+   solvable case is common). *)
+let rhs_gen h l =
+  QCheck2.Gen.(
+    let m = Mat.rows h in
+    oneof
+      [ Gen.vec_gen ~dim:m ~lo:(-4) ~hi:4;
+        return (Vec.zero m);
+        map
+          (fun coefs ->
+            let x =
+              List.fold_left2
+                (fun acc a b -> Vec.add acc (Vec.scale a b))
+                (Vec.zero (Mat.cols h)) coefs (Subspace.basis l)
+            in
+            Mat.apply h x)
+          (list_size (return (Subspace.dim l)) (int_range (-2) 2)) ])
+
+let solve_case_gen =
+  QCheck2.Gen.(
+    let* h = matrix_gen in
+    let* l = subspace_gen (Mat.cols h) in
+    let* cs = list_size (int_range 1 6) (rhs_gen h l) in
+    return (h, l, cs))
+
+let print_case (h, l, cs) =
+  Printf.sprintf "H=%s L=%s c=[%s]" (Mat.to_string h)
+    (Format.asprintf "%a" Subspace.pp l)
+    (String.concat "; " (List.map Vec.to_string cs))
+
+let rats_equal = Option.equal (fun a b -> Array.length a = Array.length b && Array.for_all2 Rat.equal a b)
+
+let prop_prepared_matches_reference =
+  QCheck2.Test.make ~name:"subspace: prepared solve = full-RREF reference" ~count:500
+    ~print:print_case solve_case_gen (fun (h, l, cs) ->
+      let p = Subspace.prepare h l in
+      List.for_all
+        (fun c ->
+          Option.equal Vec.equal (Subspace.solve p c) (Reference.solution_in h c l)
+          && rats_equal (Subspace.solve_rat p c) (Reference.witness_rat h c l)
+          && Option.equal Vec.equal (Subspace.solution_in h c l) (Reference.solution_in h c l))
+        cs)
+
+let prop_prepared_rat_matches_mat =
+  QCheck2.Test.make ~name:"subspace: full-space rational solve = Mat.solve_rat" ~count:500
+    ~print:print_case
+    QCheck2.Gen.(
+      let* h = matrix_gen in
+      let l = Subspace.full (Mat.cols h) in
+      let* cs = list_size (int_range 1 6) (rhs_gen h l) in
+      return (h, l, cs))
+    (fun (h, l, cs) ->
+      let p = Subspace.prepare h l in
+      List.for_all (fun c -> rats_equal (Subspace.solve_rat p c) (Mat.solve_rat h c)) cs)
+
 let suite =
   [ Alcotest.test_case "construction" `Quick test_construction;
     Alcotest.test_case "membership" `Quick test_membership;
@@ -120,4 +236,6 @@ let suite =
     Gen.to_alcotest prop_intersect_subset;
     Gen.to_alcotest prop_join_contains;
     Gen.to_alcotest prop_dim_formula;
-    Gen.to_alcotest prop_solution_in_sound ]
+    Gen.to_alcotest prop_solution_in_sound;
+    Gen.to_alcotest prop_prepared_matches_reference;
+    Gen.to_alcotest prop_prepared_rat_matches_mat ]
