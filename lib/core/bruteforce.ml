@@ -13,6 +13,34 @@ type metrics = {
   balance_nocache : float;
 }
 
+let of_summary ~machine (s : Streams.summary) ~flops ~misses =
+  let v_m = float_of_int s.Streams.memory_ops in
+  let v_f = float_of_int flops in
+  let balance_nocache = if v_f = 0.0 then infinity else v_m /. v_f in
+  let balance_cache =
+    if v_f = 0.0 then infinity
+    else begin
+      let cycles =
+        Float.max
+          (v_m /. float_of_int machine.Machine.mem_issue)
+          (v_f /. float_of_int machine.Machine.fp_issue)
+      in
+      let serviced = machine.Machine.prefetch_bandwidth *. cycles in
+      let unserviced = Float.max 0.0 (misses -. serviced) in
+      (v_m +. (unserviced *. Machine.miss_ratio_cost machine)) /. v_f
+    end
+  in
+  { streams = s.Streams.streams;
+    memory_ops = s.Streams.memory_ops;
+    registers = s.Streams.registers;
+    flops;
+    misses;
+    balance_cache;
+    balance_nocache }
+
+let objective ~cache ~machine m =
+  Float.abs ((if cache then m.balance_cache else m.balance_nocache) -. Machine.balance machine)
+
 let metrics ~machine nest u =
   let unrolled = Transform.apply_exn (Transform.Unroll u) nest in
   let d = Nest.depth unrolled in
@@ -31,41 +59,16 @@ let metrics ~machine nest u =
         (Streams.of_partition solver ~invariant g temporal, cost.Locality.accesses))
       (Ugs.of_nest unrolled)
   in
-  let summary = Streams.summarize (List.concat_map fst per_ugs) in
   let misses = List.fold_left (fun acc (_, a) -> acc +. a) 0.0 per_ugs in
-  let flops = Nest.flops_per_iteration unrolled in
-  let v_m = float_of_int summary.Streams.memory_ops in
-  let v_f = float_of_int flops in
-  let balance_nocache = if v_f = 0.0 then infinity else v_m /. v_f in
-  let balance_cache =
-    if v_f = 0.0 then infinity
-    else begin
-      let cycles =
-        Float.max
-          (v_m /. float_of_int machine.Machine.mem_issue)
-          (v_f /. float_of_int machine.Machine.fp_issue)
-      in
-      let serviced = machine.Machine.prefetch_bandwidth *. cycles in
-      let unserviced = Float.max 0.0 (misses -. serviced) in
-      (v_m +. (unserviced *. Machine.miss_ratio_cost machine)) /. v_f
-    end
-  in
-  { streams = summary.Streams.streams;
-    memory_ops = summary.Streams.memory_ops;
-    registers = summary.Streams.registers;
-    flops;
-    misses;
-    balance_cache;
-    balance_nocache }
+  of_summary ~machine
+    (Streams.summarize (List.concat_map fst per_ugs))
+    ~flops:(Nest.flops_per_iteration unrolled) ~misses
 
-let copies = Unroll_space.copies
-
-let best ~cache ~machine space nest =
-  let beta_m = Machine.balance machine in
-  let objective m = Float.abs ((if cache then m.balance_cache else m.balance_nocache) -. beta_m) in
+let best_of ~cache ~machine space measure =
+  let objective = objective ~cache ~machine in
   let best = ref None in
   Unroll_space.iter space (fun u ->
-      let m = metrics ~machine nest u in
+      let m = measure u in
       if m.registers <= machine.Machine.fp_registers then
         match !best with
         | None -> best := Some (u, m)
@@ -74,7 +77,7 @@ let best ~cache ~machine space nest =
             let wins =
               if c <> 0 then c < 0
               else
-                let c = compare (copies u) (copies bu) in
+                let c = compare (Unroll_space.copies u) (Unroll_space.copies bu) in
                 if c <> 0 then c < 0 else Vec.compare u bu < 0
             in
             if wins then best := Some (u, m));
@@ -82,4 +85,6 @@ let best ~cache ~machine space nest =
   | Some r -> r
   | None ->
       let u0 = Vec.zero (Unroll_space.depth space) in
-      (u0, metrics ~machine nest u0)
+      (u0, measure u0)
+
+let best ~cache ~machine space nest = best_of ~cache ~machine space (metrics ~machine nest)

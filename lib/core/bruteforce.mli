@@ -18,8 +18,24 @@ type metrics = {
   balance_nocache : float;
 }
 
+val of_summary :
+  machine:Ujam_machine.Machine.t -> Streams.summary -> flops:int -> misses:float -> metrics
+(** Both balances of a body from its streams, flops and misses. *)
+
+val objective : cache:bool -> machine:Ujam_machine.Machine.t -> metrics -> float
+(** Distance of the body's balance from the machine's. *)
+
 val metrics : machine:Ujam_machine.Machine.t -> Ujam_ir.Nest.t -> Vec.t -> metrics
 (** Materialise [nest] unrolled by [u] and measure it. *)
+
+val best_of :
+  cache:bool ->
+  machine:Ujam_machine.Machine.t ->
+  Unroll_space.t ->
+  (Vec.t -> metrics) ->
+  Vec.t * metrics
+(** The register-feasible vector nearest machine balance, then with
+    fewer copies, then lex-first; the zero vector if none is feasible. *)
 
 val best :
   cache:bool ->
@@ -27,5 +43,5 @@ val best :
   Unroll_space.t ->
   Ujam_ir.Nest.t ->
   Vec.t * metrics
-(** Exhaustive search over the space, same objective and tie-breaks as
+(** {!best_of} over {!metrics}, same objective and tie-breaks as
     {!Search.best}. *)

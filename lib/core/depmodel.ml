@@ -1,4 +1,3 @@
-open Ujam_linalg
 open Ujam_ir
 open Ujam_depend
 open Ujam_machine
@@ -168,58 +167,10 @@ let metrics ~machine nest u =
         acc +. (base *. (1.0 +. (float_of_int (n_t - 1) /. l))))
       0.0 (class_members spatial n)
   in
-  let v_m = float_of_int summary.Streams.memory_ops in
-  let v_f = float_of_int flops in
-  let balance_nocache = if v_f = 0.0 then infinity else v_m /. v_f in
-  let balance_cache =
-    if v_f = 0.0 then infinity
-    else begin
-      let cycles =
-        Float.max
-          (v_m /. float_of_int machine.Machine.mem_issue)
-          (v_f /. float_of_int machine.Machine.fp_issue)
-      in
-      let serviced = machine.Machine.prefetch_bandwidth *. cycles in
-      let unserviced = Float.max 0.0 (misses -. serviced) in
-      (v_m +. (unserviced *. Machine.miss_ratio_cost machine)) /. v_f
-    end
-  in
-  { Bruteforce.streams = summary.Streams.streams;
-    memory_ops = summary.Streams.memory_ops;
-    registers = summary.Streams.registers;
-    flops;
-    misses;
-    balance_cache;
-    balance_nocache }
-
-let copies = Unroll_space.copies
+  Bruteforce.of_summary ~machine summary ~flops ~misses
 
 let best ~cache ~machine space nest =
-  let beta_m = Machine.balance machine in
-  let balance_of (m : Bruteforce.metrics) =
-    if cache then m.Bruteforce.balance_cache else m.Bruteforce.balance_nocache
-  in
-  let objective m = Float.abs (balance_of m -. beta_m) in
-  let best = ref None in
-  Unroll_space.iter space (fun u ->
-      let m = metrics ~machine nest u in
-      if m.Bruteforce.registers <= machine.Machine.fp_registers then
-        match !best with
-        | None -> best := Some (u, m)
-        | Some (bu, bm) ->
-            let c = Float.compare (objective m) (objective bm) in
-            let wins =
-              if c <> 0 then c < 0
-              else
-                let c = compare (copies u) (copies bu) in
-                if c <> 0 then c < 0 else Vec.compare u bu < 0
-            in
-            if wins then best := Some (u, m));
-  match !best with
-  | Some r -> r
-  | None ->
-      let u0 = Vec.zero (Unroll_space.depth space) in
-      (u0, metrics ~machine nest u0)
+  Bruteforce.best_of ~cache ~machine space (metrics ~machine nest)
 
 let graph_cost nest u =
   let unrolled = Transform.apply_exn (Transform.Unroll u) nest in

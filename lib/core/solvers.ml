@@ -28,22 +28,23 @@ let temporal ~h ~localized ~unroll_levels =
 let spatial ~h ~localized ~unroll_levels =
   solver ~h:(Selfreuse.spatial_matrix h) ~localized ~unroll_levels ~truncate:true
 
-(* Solvability differences add, so placing against roots suffices. *)
+(* Solvability differences add, so placing against roots suffices.
+   Components queue in creation order; members are consed and reversed
+   once. *)
 let components solver ~dim items =
-  let comps = ref [] in
+  let comps = Queue.create () in
   List.iter
     (fun (c, x) ->
-      let rec place = function
-        | [] ->
-            comps := !comps @ [ (c, ref [ (x, { m = Vec.zero dim; delta = 0 }) ]) ]
-        | (root, members) :: rest -> (
-            match solver ~c_from:root ~c_to:c with
-            | Some key -> members := !members @ [ (x, key) ]
-            | None -> place rest)
-      in
-      place !comps)
+      match
+        Seq.find_map
+          (fun (root, members) ->
+            Option.map (fun key -> (members, key)) (solver ~c_from:root ~c_to:c))
+          (Queue.to_seq comps)
+      with
+      | Some (members, key) -> members := (x, key) :: !members
+      | None -> Queue.add (c, ref [ (x, { m = Vec.zero dim; delta = 0 }) ]) comps)
     items;
-  List.map (fun (_, members) -> !members) !comps
+  List.of_seq (Seq.map (fun (_, members) -> List.rev !members) (Queue.to_seq comps))
 
 (* [A p] reduced modulo [A b] along the first non-zero coordinate of
    [A b] names [p]'s class; the multiple taken off is its time shift. *)

@@ -52,6 +52,9 @@ val iter_pruned : t -> prune:(Vec.t -> bool) -> (Vec.t -> unit) -> int
 
 val vectors : t -> Vec.t list
 
+val index : t -> Vec.t -> int
+(** Position of a vector of the space in {!iter}/{!vectors} order. *)
+
 module Table : sig
   type space = t
   type t

@@ -28,6 +28,30 @@ let nest_bounds nest =
          loops)
   else None
 
+(* A pair's result, oriented: a -> b, b -> a (distance negated), or
+   loop-independent. *)
+type oriented = Indep | Forward of Depvec.t | Backward of Depvec.t | Same of Depvec.t
+
+let orient = function
+  | Test_pair.Independent -> Indep
+  | Test_pair.Dependent dvec -> (
+      match Depvec.lex_sign dvec with
+      | `Pos | `Ambiguous -> Forward dvec
+      | `Neg -> Backward (Depvec.negate dvec)
+      | `Zero -> Same dvec)
+
+module Diff = Hashtbl.Make (struct
+  type t = int array (* every key of a group has the rank of its H *)
+
+  let equal = Array.for_all2 Int.equal
+  let hash (a : t) = Array.fold_left (fun h x -> (h * 31) + x) 0 a
+end)
+
+(* The sites sharing one (array, H): the prepared [H], the oriented
+   results by c_a - c_b, and the buffer each lookup fills with the
+   difference (a key is copied only when it is stored). *)
+type group = { prepared : Test_pair.prepared; memo : oriented Diff.t; scratch : int array }
+
 let build ?(include_input = true) nest =
   let sites = Array.of_list (Site.of_nest nest) in
   let bounds = nest_bounds nest in
@@ -38,29 +62,34 @@ let build ?(include_input = true) nest =
   let group =
     Array.map
       (fun (s : Site.t) ->
-        let key = (Aref.base s.Site.ref_, Aref.h_matrix s.Site.ref_) in
+        let h = Aref.h_matrix s.Site.ref_ in
+        let key = (Aref.base s.Site.ref_, h) in
         match Hashtbl.find_opt groups key with
         | Some g -> g
         | None ->
-            let g = (Hashtbl.length groups, Test_pair.prepare (snd key)) in
+            let scratch = Array.make (Mat.rows h) 0 in
+            let g = { prepared = Test_pair.prepare h; memo = Diff.create 16; scratch } in
             Hashtbl.add groups key g;
             g)
       sites
   in
   let consts = Array.map (fun (s : Site.t) -> Vec.to_array (Aref.c_vector s.Site.ref_)) sites in
-  let memo = Hashtbl.create 64 in
   let test a b =
-    let ga, prepared = group.(a) in
-    if ga = fst group.(b) then begin
-      let rhs = Array.map2 ( - ) consts.(a) consts.(b) in
-      match Hashtbl.find_opt memo (ga, rhs) with
-      | Some r -> r
-      | None ->
-          let r = Test_pair.uniform ~bounds prepared rhs in
-          Hashtbl.add memo (ga, rhs) r;
+    let g = group.(a) in
+    if g == group.(b) then begin
+      let ca = consts.(a) and cb = consts.(b) in
+      for i = 0 to Array.length g.scratch - 1 do
+        g.scratch.(i) <- ca.(i) - cb.(i)
+      done;
+      match Diff.find g.memo g.scratch with
+      | r -> r
+      | exception Not_found ->
+          let rhs = Array.copy g.scratch in
+          let r = orient (Test_pair.uniform ~bounds g.prepared rhs) in
+          Diff.add g.memo rhs r;
           r
     end
-    else Test_pair.test ~bounds sites.(a).Site.ref_ sites.(b).Site.ref_
+    else orient (Test_pair.test ~bounds sites.(a).Site.ref_ sites.(b).Site.ref_)
   in
   let edges = ref [] in
   let add src dst dvec = edges := { src; dst; kind = kind_of_sites src dst; dvec } :: !edges in
@@ -73,26 +102,23 @@ let build ?(include_input = true) nest =
          && String.equal (Aref.base sa.Site.ref_) (Aref.base sb.Site.ref_)
       then
         match test a b with
-        | Test_pair.Independent -> ()
-        | Test_pair.Dependent dvec -> (
-            match Depvec.lex_sign dvec with
-            | `Pos -> add sa sb dvec
-            | `Neg -> add sb sa (Depvec.negate dvec)
-            | `Ambiguous -> add sa sb dvec
-            | `Zero ->
-                (* Loop-independent: only between distinct sites, from the
-                   textually earlier one.  Within a statement the reads
-                   execute before the write. *)
-                if a <> b then begin
-                  let earlier, later =
-                    if sa.Site.stmt < sb.Site.stmt then (sa, sb)
-                    else if sb.Site.stmt < sa.Site.stmt then (sb, sa)
-                    else if Site.is_write sb then (sa, sb)
-                    else if Site.is_write sa then (sb, sa)
-                    else (sa, sb)
-                  in
-                  add earlier later dvec
-                end)
+        | Indep -> ()
+        | Forward dvec -> add sa sb dvec
+        | Backward dvec -> add sb sa dvec
+        | Same dvec ->
+            (* Loop-independent: only between distinct sites, from the
+               textually earlier one.  Within a statement the reads
+               execute before the write. *)
+            if a <> b then begin
+              let earlier, later =
+                if sa.Site.stmt < sb.Site.stmt then (sa, sb)
+                else if sb.Site.stmt < sa.Site.stmt then (sb, sa)
+                else if Site.is_write sb then (sa, sb)
+                else if Site.is_write sa then (sb, sa)
+                else (sa, sb)
+              in
+              add earlier later dvec
+            end
     done
   done;
   { nest; edges = List.rev !edges }

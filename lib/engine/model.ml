@@ -19,13 +19,9 @@ end
    metrics record; fold it into the common choice shape so all four
    strategies are interchangeable downstream. *)
 let choice_of_metrics ~machine ~cache (u, (m : Bruteforce.metrics)) =
-  let beta_m = Ujam_machine.Machine.balance machine in
-  let balance =
-    if cache then m.Bruteforce.balance_cache else m.Bruteforce.balance_nocache
-  in
   { Search.u;
-    balance;
-    objective = Float.abs (balance -. beta_m);
+    balance = (if cache then m.Bruteforce.balance_cache else m.Bruteforce.balance_nocache);
+    objective = Bruteforce.objective ~cache ~machine m;
     registers = m.Bruteforce.registers;
     memory_ops = m.Bruteforce.memory_ops;
     flops = m.Bruteforce.flops }

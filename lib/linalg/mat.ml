@@ -22,7 +22,6 @@ let cols t = t.ncols
 let get t i j = t.data.(i).(j)
 let row t i = Vec.make t.data.(i)
 let col t j = Vec.init t.nrows (fun i -> t.data.(i).(j))
-let to_rows t = Array.map Array.copy t.data
 
 let equal a b =
   a.nrows = b.nrows && a.ncols = b.ncols

@@ -21,8 +21,6 @@ val cols : t -> int
 val get : t -> int -> int -> int
 val row : t -> int -> Vec.t
 val col : t -> int -> Vec.t
-val to_rows : t -> int array array
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 

@@ -51,7 +51,6 @@ let hppa_mem =
     ()
 
 let all = [ alpha; hppa; generic () ]
-let scenarios = [ alpha_mem; hppa_mem ]
 
 (* Every spelling the CLI and the daemon accept, canonical name first;
    [generic] is built fresh per lookup. *)

@@ -27,9 +27,6 @@ val generic :
 
 val all : Machine.t list
 
-val scenarios : Machine.t list
-(** The multi-level scenario machines ([alpha_mem]; [hppa_mem]). *)
-
 val names : string list
 (** Canonical preset names: ["alpha"], ["hppa"], ["alpha-mem"],
     ["hppa-mem"], ["generic"]. *)

@@ -1,6 +1,3 @@
-open Ujam_linalg
-open Ujam_ir
-
 type t = { memory_ops : int; registers : int; flops : int }
 
 let predicted bal u =
@@ -8,16 +5,8 @@ let predicted bal u =
     registers = Ujam_core.Balance.registers bal u;
     flops = Ujam_core.Balance.flops bal u }
 
-let measured nest u =
-  let unrolled = Transform.apply_exn (Transform.Unroll u) nest in
-  let d = Nest.depth unrolled in
-  let localized = Subspace.span_dims ~dim:d [ d - 1 ] in
-  let summary =
-    Ujam_core.Streams.summarize (Ujam_core.Streams.of_body ~localized unrolled)
-  in
-  { memory_ops = summary.Ujam_core.Streams.memory_ops;
-    registers = summary.Ujam_core.Streams.registers;
-    flops = Nest.flops_per_iteration unrolled }
+let of_metrics (m : Ujam_core.Bruteforce.metrics) =
+  { memory_ops = m.memory_ops; registers = m.registers; flops = m.flops }
 
 let equal a b =
   a.memory_ops = b.memory_ops && a.registers = b.registers && a.flops = b.flops

@@ -4,20 +4,15 @@
 
     [predicted] reads the UGS-table side ({!Ujam_core.Balance}) — the
     numbers the paper computes without ever materialising an unrolled
-    body.  [measured] is the Wolf–Maydan–Chen ground truth: materialise
-    the unroll with {!Ujam_ir.Unroll.unroll_and_jam} and recount on the
-    unrolled body's value streams. *)
+    body.  [of_metrics] reads the Wolf–Maydan–Chen ground truth, a
+    materialised unroll recounted ({!Ujam_core.Bruteforce.metrics}). *)
 
 open Ujam_linalg
 
 type t = { memory_ops : int; registers : int; flops : int }
 
 val predicted : Ujam_core.Balance.t -> Vec.t -> t
-
-val measured : Ujam_ir.Nest.t -> Vec.t -> t
-(** Materialise [nest] unrolled by [u] and recount (innermost-localized,
-    as everywhere in the pipeline). *)
-
+val of_metrics : Ujam_core.Bruteforce.metrics -> t
 val equal : t -> t -> bool
 
 val fields : (string * (t -> int)) list

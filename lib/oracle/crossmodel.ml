@@ -6,64 +6,27 @@ open Ujam_engine
 let dep_note =
   "dependence-based reuse is a coarser approximation than the UGS tables"
 
+(* A measured objective worse than the reference's by more than this is
+   a divergence. *)
+let eps = 1e-6
 
-let check ?(bound = 4) ?(max_loops = 2) ?(eps = 1e-6) ~machine nest =
-  let ctx = Analysis_ctx.create ~bound ~max_loops ~machine nest in
+let run s =
+  let nest = Subject.nest s and machine = Subject.machine s in
+  let ctx = Subject.ctx s in
   let space = Analysis_ctx.space ctx in
-  let beta_m = Machine.balance machine in
-  (* One materialized sweep serves every comparison: both cache flavours
-     of the measured objective, and both exhaustive reference choices. *)
-  let sweep =
-    lazy
-      (List.rev
-         (Unroll_space.fold space [] (fun acc u ->
-              (u, Bruteforce.metrics ~machine nest u) :: acc)))
-  in
-  (* Measured objective of a candidate: materialize, recount, evaluate.
-     A register-infeasible choice is infinitely bad — the search is
-     constrained to the FP register file. *)
+  (* Measured objective of a candidate: its cell of the subject's
+     materialized sweep, which serves both cache flavours and both
+     exhaustive reference choices.  A register-infeasible choice is
+     infinitely bad — the search is constrained to the FP register
+     file. *)
   let objective ~cache (m : Bruteforce.metrics) =
     if m.Bruteforce.registers > machine.Machine.fp_registers then infinity
-    else
-      Float.abs
-        ((if cache then m.Bruteforce.balance_cache
-          else m.Bruteforce.balance_nocache)
-        -. beta_m)
+    else Bruteforce.objective ~cache ~machine m
   in
-  let measure ~cache u =
-    match
-      List.find_opt (fun (u', _) -> Ujam_linalg.Vec.equal u u') (Lazy.force sweep)
-    with
-    | Some (_, m) -> objective ~cache m
-    | None -> objective ~cache (Bruteforce.metrics ~machine nest u)
-  in
-  (* The exhaustive choice under {!Bruteforce.best}'s tie-breaking:
-     objective, then fewer body copies, then lexicographic order. *)
+  (* The exhaustive choice, over the same sweep. *)
   let reference ~cache =
-    let best =
-      List.fold_left
-        (fun best (u, m) ->
-          if m.Bruteforce.registers > machine.Machine.fp_registers then best
-          else
-            let o = objective ~cache m in
-            match best with
-            | None -> Some (u, o)
-            | Some (bu, bo) ->
-                let c = Float.compare o bo in
-                let wins =
-                  if c <> 0 then c < 0
-                  else
-                    let c = compare (Unroll_space.copies u) (Unroll_space.copies bu) in
-                    if c <> 0 then c < 0 else Ujam_linalg.Vec.compare u bu < 0
-                in
-                if wins then Some (u, o) else best)
-        None (Lazy.force sweep)
-    in
-    match best with
-    | Some r -> r
-    | None ->
-        let u0 = Ujam_linalg.Vec.zero (Unroll_space.depth space) in
-        (u0, measure ~cache u0)
+    let u, m = Bruteforce.best_of ~cache ~machine space (Subject.metrics s) in
+    (u, objective ~cache m)
   in
   let ref_cache = lazy (reference ~cache:true) in
   let ref_nocache = lazy (reference ~cache:false) in
@@ -76,7 +39,7 @@ let check ?(bound = 4) ?(max_loops = 2) ?(eps = 1e-6) ~machine nest =
         let reference_u, reference_objective =
           Lazy.force (if M.cache then ref_cache else ref_nocache)
         in
-        let objective = measure ~cache:M.cache u in
+        let objective = objective ~cache:M.cache (Subject.metrics s u) in
         if objective > reference_objective +. eps then
           let explained =
             if M.name = Model.Dep_based.name then Some dep_note else None
@@ -85,10 +48,8 @@ let check ?(bound = 4) ?(max_loops = 2) ?(eps = 1e-6) ~machine nest =
             (Mismatch.make ~nest:(Nest.name nest) ~machine:machine.Machine.name
                ?explained
                (Mismatch.Model_divergence
-                  { model = M.name;
-                    u;
-                    objective;
-                    reference_u;
-                    reference_objective }))
+                  { model = M.name; u; objective; reference_u; reference_objective }))
         else None)
     Model.all
+
+let check ?bound ?max_loops ~machine nest = run (Subject.make ?bound ?max_loops ~machine nest)

@@ -23,7 +23,7 @@ type layer = {
   name : string;
   default : bool;
   stage : Error.stage;
-  check : config -> Nest.t -> Mismatch.t list * tally;
+  check : config -> Subject.t -> Mismatch.t list * tally;
   render : tally -> (string * (string * int) list) option;
 }
 
@@ -63,29 +63,27 @@ let checked_line fmt key t = Some (Printf.sprintf fmt t.checked, [ (key, t.check
 (* Every vector of the searched space through the gated pipeline
    ({!Ujam_analysis.Passes.apply_seq}: the legality gate, the structural
    transform and the index-algebra post-condition all run per vector),
-   the dependence graph built once per nest. *)
-let each_unroll { bound; max_loops; machine; _ } nest f =
-  let ctx = Ujam_core.Analysis_ctx.create ~bound ~max_loops ~machine nest in
+   on the subject's dependence graph. *)
+let each_unroll s f =
+  let ctx = Subject.ctx s in
   let graph = Ujam_core.Analysis_ctx.graph ctx in
   Ujam_core.Unroll_space.iter (Ujam_core.Analysis_ctx.space ctx) (fun u ->
-      f u (Ujam_analysis.Passes.apply_seq ~graph nest [ Transform.Unroll u ]))
+      f u (Ujam_analysis.Passes.apply_seq ~graph (Subject.nest s) [ Transform.Unroll u ]))
 
 (* ---- the layers ------------------------------------------------------- *)
 
 let recount ?perturb () =
-  layer "recount" Error.Tables (fun { bound; max_loops; machine; _ } nest ->
-      tallied ~checked:1 (Recount.check ~bound ~max_loops ?perturb ~machine nest))
+  layer "recount" Error.Tables (fun _ s -> tallied ~checked:1 (Recount.run ?perturb s))
 
 let sim =
   layer "sim" Error.Sim
     ~render:(checked_line "sim layer: %d nests replayed through the cache model" "sim_checked")
-    (fun { bound; max_loops; machine; _ } nest ->
-      let o = Simcheck.check ~bound ~max_loops ~machine nest in
+    (fun _ s ->
+      let o = Simcheck.run s in
       tallied ~checked:(min 1 o.Simcheck.simulated) o.Simcheck.mismatches)
 
 let cross_model =
-  layer "cross-model" Error.Search (fun { bound; max_loops; machine; _ } nest ->
-      tallied ~checked:1 (Crossmodel.check ~bound ~max_loops ~machine nest))
+  layer "cross-model" Error.Search (fun _ s -> tallied ~checked:1 (Crossmodel.run s))
 
 (* The verify layer: any diagnostic of the gated pipeline is a mismatch
    the tables could never have caught (they never materialise code). *)
@@ -96,9 +94,10 @@ let verify =
         ( Printf.sprintf "verify layer: %d unrolled bodies checked, %d rejected"
             t.checked t.failed,
           [ ("verify_checked", t.checked); ("verify_failed", t.failed) ] ))
-    (fun cfg nest ->
+    (fun cfg s ->
+      let nest = Subject.nest s in
       let ms = ref [] and checked = ref 0 in
-      each_unroll cfg nest (fun u r ->
+      each_unroll s (fun u r ->
           incr checked;
           match r with
           | Ok _ -> ()
@@ -123,8 +122,8 @@ let cachepred =
     ~render:
       (checked_line "cachepred layer: %d nests checked against the hierarchy simulator"
          "cachepred_checked")
-    (fun { machine; _ } nest ->
-      let o = Cachepred.check ~machine nest in
+    (fun { machine; _ } s ->
+      let o = Cachepred.check ~machine (Subject.nest s) in
       tallied ~checked:(min 1 o.Cachepred.levels_checked) o.Cachepred.mismatches)
 
 (* The native layer: lower the original nest plus a deterministic
@@ -135,14 +134,15 @@ let cachepred =
    their verdicts. *)
 let native_max_variants = 4
 
-let native_check ~drop_copy cfg nest =
+let native_check ~drop_copy cfg s =
+  let nest = Subject.nest s in
   match Ujam_native.Toolchain.find () with
   | Error _ ->
       Obs.Counter.incr m_native_skipped;
       tallied ~skipped:1 []
   | Ok tc ->
       let legal = ref [] in
-      each_unroll cfg nest (fun u r ->
+      each_unroll s (fun u r ->
           match r with
           | Ok (nest', _) when not (Ujam_linalg.Vec.is_zero u) ->
               legal := (u, nest') :: !legal
@@ -257,8 +257,11 @@ type report = {
 
 (* ---- one nest through the configured layers, with shrinking ---------- *)
 
-let check_layer cfg ~routine l nest =
-  match Error.guard ~stage:l.stage ~routine (fun () -> l.check cfg nest) with
+let subject cfg = Subject.make ~bound:cfg.bound ~max_loops:cfg.max_loops ~machine:cfg.machine
+
+let check_layer cfg ~routine l s =
+  let check () = Obs.Span.with_ ("oracle." ^ l.name) (fun () -> l.check cfg s) in
+  match Error.guard ~stage:l.stage ~routine check with
   | Ok (ms, t) -> (ms, t, None)
   | Error e -> ([], zero, Some e)
 
@@ -266,9 +269,8 @@ let unexplained_of ms = List.filter (fun m -> not (Mismatch.is_explained m)) ms
 
 (* The per-layer tallies, aligned with [cfg.layers], and the failure. *)
 let check_nest cfg ~routine nest =
-  let results =
-    List.map (fun l -> (l, check_layer cfg ~routine l nest)) cfg.layers
-  in
+  let s = subject cfg nest in
+  let results = List.map (fun l -> (l, check_layer cfg ~routine l s)) cfg.layers in
   let tallies = List.map (fun (_, (_, t, _)) -> t) results in
   let mismatches = List.concat_map (fun (_, (ms, _, _)) -> ms) results in
   let error = List.find_map (fun (_, (_, _, e)) -> e) results in
@@ -288,7 +290,8 @@ let check_nest cfg ~routine nest =
           List.filter_map (fun (l, r) -> if failed r then Some l else None) results
         in
         let still_fails n =
-          List.exists (fun l -> failed (check_layer cfg ~routine l n)) fail_layers
+          let s = subject cfg n in
+          List.exists (fun l -> failed (check_layer cfg ~routine l s)) fail_layers
         in
         Some (Shrink.run ~still_fails nest)
     in

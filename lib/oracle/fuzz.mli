@@ -13,6 +13,10 @@
     generation is sequential, checks are pure, and the work queue slots
     results by input index whatever the domain count.
 
+    Every layer checks a nest through one {!Subject}, built per nest and
+    per shrinker candidate: recount and cross-model read its one
+    materialised sweep, and every layer its one analysis context.
+
     A layer is a value: the run folds over [config.layers] without
     knowing which layers they are, so a new layer is one {!layer}
     record.  Fault injection is a layer built with an argument
@@ -31,7 +35,7 @@ type layer = {
   name : string;  (** the [--layers] spelling and the report label *)
   default : bool;  (** in {!all_layers} *)
   stage : Ujam_engine.Error.stage;  (** tags an exception escaping [check] *)
-  check : config -> Ujam_ir.Nest.t -> Mismatch.t list * tally;
+  check : config -> Subject.t -> Mismatch.t list * tally;
       (** one nest's findings and counts; an exception is a crash *)
   render : tally -> (string * (string * int) list) option;
       (** the layer's summed tally as one report line and its JSON
@@ -65,17 +69,17 @@ and config = {
 val layer_name : layer -> string
 
 val recount : ?perturb:(Vec.t -> Counts.t -> Counts.t) -> unit -> layer
-(** Tables vs. the materialised recount ({!Recount.check});
+(** Tables vs. the subject's materialised sweep ({!Recount.run});
     [perturb] post-processes every table prediction — fault injection
     for the oracle's own regression tests. *)
 
 val sim : layer
-(** Rank monotonicity vs. the cache simulator ({!Simcheck.check});
+(** Rank monotonicity vs. the cache simulator ({!Simcheck.run});
     counts nests with at least one replayed candidate. *)
 
 val cross_model : layer
-(** Every registered strategy vs. the exhaustive reference
-    ({!Crossmodel.check}). *)
+(** Every registered strategy vs. the exhaustive reference over the
+    subject's materialised sweep ({!Crossmodel.run}). *)
 
 val verify : layer
 (** Every unroll vector of the space through the gated pipeline;

@@ -2,24 +2,22 @@ open Ujam_ir
 open Ujam_core
 open Ujam_machine
 
-let check ?(bound = 4) ?(max_loops = 2) ?perturb ~machine nest =
-  let ctx = Analysis_ctx.create ~bound ~max_loops ~machine nest in
-  let bal = Analysis_ctx.balance ctx in
-  let space = Analysis_ctx.space ctx in
+let run ?perturb s =
+  let bal = Analysis_ctx.balance (Subject.ctx s) in
   let mismatches = ref [] in
-  Unroll_space.iter space (fun u ->
+  Unroll_space.iter (Analysis_ctx.space (Subject.ctx s)) (fun u ->
       let predicted = Counts.predicted bal u in
       let predicted =
         match perturb with None -> predicted | Some f -> f u predicted
       in
-      let measured = Counts.measured nest u in
+      let measured = Counts.of_metrics (Subject.metrics s u) in
       if not (Counts.equal predicted measured) then
         List.iter
           (fun (field, get) ->
             if get predicted <> get measured then
               mismatches :=
-                Mismatch.make ~nest:(Nest.name nest)
-                  ~machine:machine.Machine.name
+                Mismatch.make ~nest:(Nest.name (Subject.nest s))
+                  ~machine:(Subject.machine s).Machine.name
                   (Mismatch.Recount
                      { u;
                        field;
@@ -28,3 +26,6 @@ let check ?(bound = 4) ?(max_loops = 2) ?perturb ~machine nest =
                 :: !mismatches)
           Counts.fields);
   List.rev !mismatches
+
+let check ?bound ?max_loops ?perturb ~machine nest =
+  run ?perturb (Subject.make ?bound ?max_loops ~machine nest)

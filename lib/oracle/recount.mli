@@ -3,16 +3,19 @@
     For every vector in the nest's bounded unroll space, compare the
     UGS-table predictions (memory operations after scalar replacement,
     register pressure, flops — the numbers the paper computes without
-    unrolling anything) against a recount on the body actually produced
-    by {!Ujam_ir.Unroll.unroll_and_jam}.  On the supported nest class the
-    two constructions are provably the same partition, so any difference
-    is a hard failure — there are no "explained" recount mismatches.
+    unrolling anything) against the subject's sweep ({!Subject.sweep}),
+    recounted on each body {!Ujam_ir.Unroll.unroll_and_jam} produces.
+    On the supported nest class the two constructions are provably the
+    same partition, so any difference is a hard failure — there are no
+    "explained" recount mismatches.
 
     [perturb] post-processes each table prediction before comparison;
     the regression suite uses it to inject a known table bug and assert
     the oracle catches and shrinks it. *)
 
 open Ujam_linalg
+
+val run : ?perturb:(Vec.t -> Counts.t -> Counts.t) -> Subject.t -> Mismatch.t list
 
 val check :
   ?bound:int ->
@@ -21,5 +24,5 @@ val check :
   machine:Ujam_machine.Machine.t ->
   Ujam_ir.Nest.t ->
   Mismatch.t list
-(** Defaults match {!Ujam_engine.Engine.analyze}: [bound] 4,
-    [max_loops] 2. *)
+(** {!run} on a fresh {!Subject.make}; defaults match
+    {!Ujam_engine.Engine.analyze}: [bound] 4, [max_loops] 2. *)

@@ -14,12 +14,16 @@ let spread ~n len =
     List.sort_uniq compare
       (List.init n (fun i -> i * (len - 1) / (n - 1)))
 
-let check ?(bound = 4) ?(max_loops = 2) ?(candidates = 4) ?(rel_tol = 0.5)
-    ?(abs_tol = 0.02) ?(max_accesses = 150_000) ~machine nest =
+(* Candidates replayed, significance margins (relative; absolute in
+   misses per original iteration), largest replay in references. *)
+let candidates = 4 and rel_tol = 0.5 and abs_tol = 0.02 and max_accesses = 150_000
+
+let run s =
+  let nest = Subject.nest s and machine = Subject.machine s in
   match Nest.iterations nest with
   | None -> nothing (* affine bounds: trip counts unknown, cannot replay *)
   | Some iterations ->
-      let ctx = Analysis_ctx.create ~bound ~max_loops ~machine nest in
+      let ctx = Subject.ctx s in
       let bal = Analysis_ctx.balance ctx in
       let space = Analysis_ctx.space ctx in
       let rate u =
@@ -86,3 +90,5 @@ let check ?(bound = 4) ?(max_loops = 2) ?(candidates = 4) ?(rel_tol = 0.5)
         in
         pairs measured;
         { simulated = List.length measured; mismatches = List.rev !mismatches }
+
+let check ?bound ?max_loops ~machine nest = run (Subject.make ?bound ?max_loops ~machine nest)

@@ -19,17 +19,13 @@ type outcome = {
   mismatches : Mismatch.t list;
 }
 
+val run : Subject.t -> outcome
+(** Up to 4 candidates, a pair flagged when both gaps exceed 0.02
+    misses per original iteration plus half the larger rate; a nest
+    over 150_000 simulated references per candidate is skipped
+    ([simulated = 0]). *)
+
 val check :
-  ?bound:int ->
-  ?max_loops:int ->
-  ?candidates:int ->
-  ?rel_tol:float ->
-  ?abs_tol:float ->
-  ?max_accesses:int ->
-  machine:Ujam_machine.Machine.t ->
-  Ujam_ir.Nest.t ->
-  outcome
-(** Defaults: [candidates] 4, [rel_tol] 0.5, [abs_tol] 0.02 misses per
-    original iteration, [max_accesses] 150_000 simulated references per
-    candidate (larger nests are skipped, reported via [simulated = 0]).
-    [bound]/[max_loops] default to the engine's 4/2. *)
+  ?bound:int -> ?max_loops:int -> machine:Ujam_machine.Machine.t -> Ujam_ir.Nest.t -> outcome
+(** {!run} on a fresh {!Subject.make}, whose [bound]/[max_loops]
+    default to the engine's 4/2. *)

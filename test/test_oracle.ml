@@ -127,7 +127,8 @@ let multi_ref =
     default = false;
     stage = Ujam_engine.Error.Transform;
     check =
-      (fun cfg nest ->
+      (fun cfg s ->
+        let nest = Subject.nest s in
         let refs = List.length (Nest.refs nest) in
         let ms =
           if refs < 2 then []
@@ -252,6 +253,94 @@ let test_snippet () =
         (List.mem_assoc "loops" fields && List.mem_assoc "snippet" fields)
   | _ -> Alcotest.fail "object expected"
 
+(* ---- the subject's materialised sweep ------------------------------- *)
+
+(* The materialised recount the recount layer ran on its own before the
+   layers shared one sweep: unroll, then count the value streams of the
+   unrolled body.  It is the reference the sweep must equal. *)
+let reference_counts nest u =
+  let unrolled = Transform.apply_exn (Transform.Unroll u) nest in
+  let d = Nest.depth unrolled in
+  let localized = Subspace.span_dims ~dim:d [ d - 1 ] in
+  let summary =
+    Ujam_core.Streams.summarize (Ujam_core.Streams.of_body ~localized unrolled)
+  in
+  { Counts.memory_ops = summary.Ujam_core.Streams.memory_ops;
+    registers = summary.Ujam_core.Streams.registers;
+    flops = Nest.flops_per_iteration unrolled }
+
+(* Every cell of the sweep, at its vector's index, carries the
+   reference recount of that vector.  The nests are the fuzz
+   generator's deep-space routines (2- to 4-deep), each unrolled on up
+   to three levels by up to 3. *)
+let prop_sweep_is_recount =
+  QCheck2.Test.make ~name:"oracle: sweep = materialised recount" ~count:25
+    ~print:string_of_int (QCheck2.Gen.int_bound 1_000_000)
+    (fun seed ->
+      let r =
+        Ujam_workload.Generator.routine ~deep:true (Random.State.make [| seed |]) 0
+      in
+      List.for_all
+        (fun nest ->
+          let s = Subject.make ~bound:3 ~max_loops:3 ~machine nest in
+          let space = Ujam_core.Analysis_ctx.space (Subject.ctx s) in
+          let sweep = Subject.sweep s in
+          Array.length sweep = Ujam_core.Unroll_space.card space
+          && List.for_all
+               (fun u ->
+                 let m = sweep.(Ujam_core.Unroll_space.index space u) in
+                 Counts.equal (Counts.of_metrics m) (reference_counts nest u)
+                 && m == Subject.metrics s u)
+               (Ujam_core.Unroll_space.vectors space))
+        r.Ujam_workload.Generator.nests)
+
+(* A sweep that raises fails every layer reading it, each with its own
+   stage — the second reader included, after the first forced it — while
+   the layers that do not read it still run on the same subject. *)
+let test_sweep_error_reported () =
+  let nest = Ujam_kernels.Kernels.dmxpy0 ~n:24 () in
+  let s =
+    Subject.make ~machine ~metrics:(fun _ _ -> failwith "sweep failed") nest
+  in
+  let cfg = Fuzz.default_config ~machine () in
+  let outcome (l : Fuzz.layer) =
+    Ujam_engine.Error.guard ~stage:l.Fuzz.stage ~routine:"r" (fun () -> l.Fuzz.check cfg s)
+  in
+  List.iter
+    (fun (l : Fuzz.layer) ->
+      match outcome l with
+      | Ok _ -> Alcotest.failf "%s: sweep error not reported" l.Fuzz.name
+      | Error e ->
+          Alcotest.(check string) (l.Fuzz.name ^ ": message") "sweep failed"
+            e.Ujam_engine.Error.message;
+          Alcotest.(check bool) (l.Fuzz.name ^ ": the layer's stage") true
+            (e.Ujam_engine.Error.stage = l.Fuzz.stage))
+    [ Fuzz.recount (); Fuzz.cross_model; Fuzz.recount () ];
+  List.iter
+    (fun (l : Fuzz.layer) ->
+      Alcotest.(check bool) (l.Fuzz.name ^ ": runs without the sweep") true
+        (Result.is_ok (outcome l)))
+    [ Fuzz.sim; Fuzz.verify ]
+
+(* Repeating a run must not retain memory: after a full major
+   collection the live heap after 20 runs of the same 6 nests is the
+   live heap after one, up to a small fixed slack. *)
+let test_runs_retain_nothing () =
+  let cfg = { (Fuzz.default_config ~machine ()) with Fuzz.n = 6; seed = 42 } in
+  let live_after runs =
+    for _ = 1 to runs do
+      ignore (Fuzz.run cfg : Fuzz.report)
+    done;
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let once = live_after 1 in
+  let twenty = live_after 20 in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words %d after 1 run, %d after 20 more" once twenty)
+    true
+    (twenty - once < 20_000)
+
 let suite =
   [ Alcotest.test_case "recount: kernels" `Quick test_recount_kernels;
     Alcotest.test_case "cross-model: kernels" `Quick test_crossmodel_kernels;
@@ -265,4 +354,9 @@ let suite =
       test_shrink_rejects_different_failure;
     Alcotest.test_case "shrink: snippet + json" `Quick test_snippet;
     Alcotest.test_case "fuzz: custom layer reported+shrunk" `Quick
-      test_custom_layer ]
+      test_custom_layer;
+    Gen.to_alcotest prop_sweep_is_recount;
+    Alcotest.test_case "subject: sweep error reported" `Quick
+      test_sweep_error_reported;
+    Alcotest.test_case "fuzz: repeated runs retain nothing" `Quick
+      test_runs_retain_nothing ]
