@@ -100,9 +100,9 @@ let compile t (r : Aref.t) =
 
 let address t r iv = Affine.eval (compile t r) iv
 
-(* The loop order of [Nest.iter_index_vectors], with each reference's
-   address computed once per run of the innermost loop and then stepped
-   by [coef * step]. *)
+(* The loop order of [Nest.iter_index_vectors], handing [f] each run of
+   the innermost loop: every reference's address at the run's first
+   iteration and its step [coef * step]. *)
 let iter_trace t nest refs f =
   let cs = Array.map (compile t) refs in
   let loops = Nest.loops nest in
@@ -130,13 +130,7 @@ let iter_trace t nest refs f =
       done;
       let trips = ((hi - lo) / step) + 1 in
       count := !count + trips;
-      for _ = 1 to trips do
-        for j = 0 to Array.length addrs - 1 do
-          let a = addrs.(j) in
-          f j a;
-          addrs.(j) <- a + incs.(j)
-        done
-      done
+      f addrs incs trips
     end
   in
   go 0;

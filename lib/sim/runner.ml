@@ -22,9 +22,7 @@ let run ~machine ?plan ?sites nest =
     | Some p -> List.filter (Ujam_core.Scalar_replace.issues_memory p) sites
   in
   let refs = Array.of_list (List.map (fun (s : Site.t) -> s.Site.ref_) memory_sites) in
-  let iterations =
-    Layout.iter_trace layout nest refs (fun _ addr -> ignore (Cache.access cache addr))
-  in
+  let iterations = Layout.iter_trace layout nest refs (Cache.access_run cache) in
   let mem_ops = Array.length refs in
   let per_iter = Cpu.cycles_per_iteration machine nest ~mem_ops in
   let issue = per_iter *. float_of_int iterations in
@@ -48,11 +46,7 @@ let run_levels ?steal_lines ~machine ?sites nest =
   let sites = match sites with Some s -> s | None -> Site.of_nest nest in
   let refs = Array.of_list (List.map (fun (s : Site.t) -> s.Site.ref_) sites) in
   let writes = Array.of_list (List.map Site.is_write sites) in
-  ignore
-    (Layout.iter_trace layout nest refs (fun j addr ->
-         (* constant [~write] arguments: no option boxed per access *)
-         if writes.(j) then Cache.Hierarchy.access hierarchy ~write:true addr
-         else Cache.Hierarchy.access hierarchy addr));
+  ignore (Layout.iter_trace layout nest refs (Cache.Hierarchy.access_run hierarchy ~writes));
   Cache.Hierarchy.stats hierarchy
 
 let normalized ~baseline r =

@@ -181,6 +181,42 @@ let test_cache_counters () =
         (Ujam_sim.Cache.misses c)
         (Obs.Counter.value misses - m0))
 
+(* The run path bumps the counters once per run on a direct-mapped
+   power-of-two cache and per access otherwise; either way the totals,
+   evictions included, are those of the per-access trace. *)
+let test_cache_counters_run_path () =
+  with_obs (fun () ->
+      let counters =
+        List.map Obs.counter [ "sim.cache.accesses"; "sim.cache.misses"; "sim.cache.evictions" ]
+      in
+      let deltas f =
+        let before = List.map Obs.Counter.value counters in
+        f ();
+        List.map2 (fun c v -> Obs.Counter.value c - v) counters before
+      in
+      let addrs = [| 0; 16; -7 |] and incs = [| 1; 1; -3 |] and trips = 9 in
+      List.iter
+        (fun (size, line, assoc) ->
+          let by_run =
+            deltas (fun () ->
+                Ujam_sim.Cache.access_run
+                  (Ujam_sim.Cache.create ~size ~line ~assoc ())
+                  (Array.copy addrs) incs trips)
+          in
+          let by_access =
+            deltas (fun () ->
+                let c = Ujam_sim.Cache.create ~size ~line ~assoc () in
+                for t = 0 to trips - 1 do
+                  Array.iteri
+                    (fun j a -> ignore (Ujam_sim.Cache.access c (a + (t * incs.(j)))))
+                    addrs
+                done)
+          in
+          let name = Printf.sprintf "size %d line %d assoc %d" size line assoc in
+          Alcotest.(check (list int)) (name ^ ": accesses, misses, evictions") by_access by_run;
+          Alcotest.(check bool) (name ^ ": some evictions") true (List.nth by_run 2 > 0))
+        [ (16, 4, 1); (18, 3, 2) ])
+
 (* ---- spans and the golden timing agreement ----------------------------- *)
 
 let stage_sum events name =
@@ -342,4 +378,6 @@ let suite =
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
     Alcotest.test_case "json numbers and escapes" `Quick
-      test_json_numbers_and_escapes ]
+      test_json_numbers_and_escapes;
+    Alcotest.test_case "sim.cache counters on the run path" `Quick
+      test_cache_counters_run_path ]

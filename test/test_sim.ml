@@ -579,12 +579,19 @@ let prop_compiled_trace =
     (fun nest ->
       let layout = Layout.of_nest nest ~line:4 in
       let refs = Array.of_list (List.map fst (Nest.refs nest)) in
-      let collect walk =
-        let out = ref [] in
-        let n = walk layout nest refs (fun j a -> out := (j, a) :: !out) in
-        (n, !out)
+      let out = ref [] in
+      let emit j a = out := (j, a) :: !out in
+      (* each run expanded to its (reference, address) pairs, in order *)
+      let n =
+        Layout.iter_trace layout nest refs (fun addrs incs trips ->
+            for t = 0 to trips - 1 do
+              Array.iteri (fun j a -> emit j (a + (t * incs.(j)))) addrs
+            done)
       in
-      collect Layout.iter_trace = collect ref_walk)
+      let compiled = (n, !out) in
+      out := [];
+      let n = ref_walk layout nest refs emit in
+      compiled = (n, !out))
 
 let small = Machine.make ~name:"small" ~cache_size:96 ~cache_line:4 ~associativity:2 ()
 let odd = Machine.make ~name:"odd" ~cache_size:90 ~cache_line:3 ~associativity:2 ()
@@ -616,6 +623,90 @@ let prop_runner_matches_reference =
            [ (Presets.alpha_mem, None); (Presets.hppa_mem, None); (small_mem, None);
              (small_mem, Some 1) ])
 
+(* ---- one innermost run per call against the per-access trace -------- *)
+
+(* Runs of up to four references: start addresses near zero or far from
+   it, either sign; increments negative, zero or positive; zero trips
+   allowed. *)
+let run_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 0 4 in
+  let* addrs =
+    array_size (return n)
+      (oneof [ int_range (-300) 300; int_range (-(1 lsl 20)) (1 lsl 20) ])
+  in
+  let* incs = array_size (return n) (oneof [ int_range (-8) 8; int_range (-2048) 2048 ]) in
+  let* trips = oneof [ return 0; int_range 1 24 ] in
+  return (addrs, incs, trips)
+
+let expand (addrs, incs, trips) =
+  List.concat
+    (List.init trips (fun t ->
+         List.init (Array.length addrs) (fun j -> (j, addrs.(j) + (t * incs.(j))))))
+
+let runs_gen =
+  let open QCheck2.Gen in
+  let* line = oneofl [ 1; 2; 3; 4; 5; 1024 ] in
+  let* sets = oneofl [ 1; 2; 3; 4; 5; 8; 64 ] in
+  let* assoc = oneofl [ 1; 2; 4 ] in
+  let* steal = int_range 0 (assoc - 1) in
+  let* runs = list_size (int_range 1 8) run_gen in
+  let* probe = list_size (int_range 1 60) (int_range (-400) 400) in
+  return ((line * sets * assoc, line, assoc, steal), runs, probe)
+
+let runs_print ((size, line, assoc, steal), runs, probe) =
+  let ints a = String.concat ";" (List.map string_of_int (Array.to_list a)) in
+  Printf.sprintf "size=%d line=%d assoc=%d steal=%d runs=[%s] probe=[%s]" size line assoc
+    steal
+    (String.concat " "
+       (List.map
+          (fun (a, i, t) -> Printf.sprintf "(%s|%s|%d)" (ints a) (ints i) t)
+          runs))
+    (String.concat ";" (List.map string_of_int probe))
+
+let prop_access_run_matches_access =
+  QCheck2.Test.make ~name:"property: Cache.access_run = per-access replay" ~count:300
+    ~print:runs_print runs_gen
+    (fun ((size, line, assoc, steal), runs, probe) ->
+      let by_run = Cache.create ~steal_lines:steal ~size ~line ~assoc () in
+      let by_access = Cache.create ~steal_lines:steal ~size ~line ~assoc () in
+      List.iter
+        (fun ((addrs, incs, trips) as run) ->
+          Cache.access_run by_run (Array.copy addrs) incs trips;
+          List.iter (fun (_, a) -> ignore (Cache.access by_access a)) (expand run))
+        runs;
+      Cache.accesses by_run = Cache.accesses by_access
+      && Cache.misses by_run = Cache.misses by_access
+      && List.map (Cache.access by_run) probe = List.map (Cache.access by_access) probe)
+
+let prop_hierarchy_run_matches_access =
+  (* a write-through L1 (write misses do not allocate), an L2 with a
+     power-of-two geometry and the L1's ways, and a wide-line TLB level *)
+  QCheck2.Test.make ~name:"property: Hierarchy.access_run = per-access replay"
+    ~count:200 ~print:runs_print runs_gen
+    (fun ((size, line, assoc, steal), runs, probe) ->
+      let levels =
+        [ Machine.Level.make ~name:"L1" ~size ~line ~assoc ~write:Machine.Level.Write_through ();
+          Machine.Level.make ~name:"L2" ~size:(max size 256) ~line:4 ~assoc ();
+          Machine.Level.make ~name:"TLB" ~size:(max size 2048) ~line:64 ~assoc:4 () ]
+      in
+      let steal_lines = if steal = 0 then None else Some steal in
+      let by_run = Cache.Hierarchy.create ?steal_lines levels in
+      let by_access = Cache.Hierarchy.create ?steal_lines levels in
+      let replay h = List.iter (fun a -> Cache.Hierarchy.access h ~write:(a land 1 = 0) a) probe in
+      List.iter
+        (fun ((addrs, incs, trips) as run) ->
+          let writes = Array.mapi (fun j _ -> j mod 2 = 0) addrs in
+          Cache.Hierarchy.access_run by_run ~writes (Array.copy addrs) incs trips;
+          List.iter
+            (fun (j, a) -> Cache.Hierarchy.access by_access ~write:writes.(j) a)
+            (expand run))
+        runs;
+      let after_runs = Cache.Hierarchy.stats by_run = Cache.Hierarchy.stats by_access in
+      replay by_run;
+      replay by_access;
+      after_runs && Cache.Hierarchy.stats by_run = Cache.Hierarchy.stats by_access)
+
 let suite =
   [ Alcotest.test_case "cache basics" `Quick test_cache_basics;
     Gen.to_alcotest prop_miss_rate_clean_after_reset;
@@ -642,4 +733,6 @@ let suite =
     Gen.to_alcotest prop_runner_matches_reference;
     Alcotest.test_case "negative addresses" `Quick test_cache_negative_addresses;
     Alcotest.test_case "line 3, 5 sets" `Quick test_cache_non_power_of_two;
-    Alcotest.test_case "steal_lines: last set only" `Quick test_steal_lines_last_set_only ]
+    Alcotest.test_case "steal_lines: last set only" `Quick test_steal_lines_last_set_only;
+    Gen.to_alcotest prop_access_run_matches_access;
+    Gen.to_alcotest prop_hierarchy_run_matches_access ]
