@@ -14,7 +14,7 @@ let kind_of_sites (src : Site.t) (dst : Site.t) =
   | Site.Write, Site.Write -> Output
   | Site.Read, Site.Read -> Input
 
-let nest_bounds nest =
+let bounds nest =
   let loops = Nest.loops nest in
   let all_const =
     Array.for_all
@@ -54,7 +54,7 @@ type group = { prepared : Test_pair.prepared; memo : oriented Diff.t; scratch : 
 
 let build ?(include_input = true) nest =
   let sites = Array.of_list (Site.of_nest nest) in
-  let bounds = nest_bounds nest in
+  let bounds = bounds nest in
   (* Sites sharing (array, H) form one group: a pair inside a group is
      uniform, and its result depends only on c_a - c_b, so it is tested
      once per (group, difference). *)

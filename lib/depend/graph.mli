@@ -10,6 +10,9 @@ type edge = { src : Ujam_ir.Site.t; dst : Ujam_ir.Site.t; kind : kind; dvec : De
 
 type t = { nest : Ujam_ir.Nest.t; edges : edge list }
 
+val bounds : Ujam_ir.Nest.t -> (int * int) array option
+(** Each loop's [(lo, hi)] when every bound is constant. *)
+
 val build : ?include_input:bool -> Ujam_ir.Nest.t -> t
 (** [include_input] defaults to [true].  Edges are normalised so the
     distance vector is lexicographically non-negative: the source is the

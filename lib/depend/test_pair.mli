@@ -31,6 +31,13 @@ val uniform : bounds:(int * int) array option -> prepared -> int array -> result
     [Independent] otherwise.  {!test} is [prepare] + [uniform] on a
     uniform pair. *)
 
+val nonuniform :
+  bounds:(int * int) array option -> Ujam_linalg.Mat.t -> Ujam_linalg.Mat.t -> int array -> result
+(** [nonuniform ~bounds h1 h2 rhs], for same-rank [h1 <> h2], tests
+    [H1 i1 + c1] against [H2 i2 + c2] with [rhs = c2 - c1] by per-subscript
+    gcd and Banerjee tests: [Independent] or all-[Star].  Applied to the
+    matrices alone, it prepares those tests once. *)
+
 val test : bounds:(int * int) array option -> Ujam_ir.Aref.t -> Ujam_ir.Aref.t -> result
 (** [bounds] are per-level inclusive index ranges when the nest has
     constant bounds; they sharpen the tests (distance within the

@@ -169,14 +169,6 @@ let solve_rat t c =
     Some x
   end
 
-let solve_int t c =
-  match solve_rat t c with
-  | None -> None
-  | Some x ->
-      if Array.for_all Rat.is_integer x then
-        Some (Vec.make (Array.map Rat.to_int_exn x))
-      else None
-
 let row_space t =
   let a, pivots = rref_rat (to_rat t) in
   List.init (Array.length pivots) (fun i -> primitive_int a.(i))

@@ -62,12 +62,6 @@ val solve_rat : t -> Vec.t -> Rat.t array option
 (** [solve_rat m c] is a rational solution of [m x = c] (free variables
     set to zero), or [None] if the system is inconsistent. *)
 
-val solve_int : t -> Vec.t -> Vec.t option
-(** An integer solution of [m x = c] with free variables zero, if the
-    particular rational solution happens to be integral.  Complete for
-    separable SIV access matrices (at most one non-zero per row and per
-    column), which is the class the paper's algorithms operate on. *)
-
 val row_space : t -> Vec.t list
 (** Canonical basis of the row space: the non-zero rows of the reduced
     row echelon form, rescaled to primitive integer vectors.  Two

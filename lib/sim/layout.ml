@@ -87,7 +87,7 @@ let of_nest nest ~line =
    addresses even where a product wraps. *)
 let compile t (r : Aref.t) =
   match Hashtbl.find_opt t.arrays (Aref.base r) with
-  | None -> invalid_arg "Layout.address: unknown array"
+  | None -> invalid_arg "Layout.compile: unknown array"
   | Some info ->
       let coefs = Array.make (Aref.depth r) 0 in
       let const = ref info.base in
@@ -97,8 +97,6 @@ let compile t (r : Aref.t) =
           Array.iteri (fun k c -> coefs.(k) <- coefs.(k) + (c * info.strides.(i))) s.Affine.coefs)
         r.Aref.subs;
       Affine.make ~coefs ~const:!const
-
-let address t r iv = Affine.eval (compile t r) iv
 
 (* The loop order of [Nest.iter_index_vectors], handing [f] each run of
    the innermost loop: every reference's address at the run's first
@@ -139,4 +137,3 @@ let iter_trace t nest refs f =
 let footprint t = t.footprint
 
 let info t base = Hashtbl.find t.arrays base
-let extent t base = Array.copy (info t base).extents

@@ -21,10 +21,6 @@ val compile : t -> Ujam_ir.Aref.t -> Ujam_ir.Affine.t
     each subscript separately (int arithmetic is modular).
     @raise Invalid_argument for an array the layout does not hold. *)
 
-val address : t -> Ujam_ir.Aref.t -> int array -> int
-(** Element address of the reference at the given index vector
-    ([compile] then evaluate). *)
-
 val iter_trace :
   t -> Ujam_ir.Nest.t -> Ujam_ir.Aref.t array -> (int array -> int array -> int -> unit) -> int
 (** [iter_trace t nest refs f] walks the iteration space in the order of
@@ -40,7 +36,3 @@ val footprint : t -> int
 
 val info : t -> string -> array_info
 (** @raise Not_found for unknown arrays. *)
-
-val extent : t -> string -> int array
-(** Per-dimension extents of an array.
-    @raise Not_found for unknown arrays. *)

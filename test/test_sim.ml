@@ -5,6 +5,11 @@ open Ujam_ir.Build
 open Ujam_sim
 open Ujam_machine
 
+(* A reference's element address at an index vector, and an array's
+   per-dimension extents, from the layout's compiled form. *)
+let address l r iv = Affine.eval (Layout.compile l r) iv
+let extent l b = Array.copy (Layout.info l b).extents
+
 let test_cache_basics () =
   let c = Cache.create ~size:16 ~line:4 ~assoc:1 () in
   Alcotest.(check bool) "cold miss" false (Cache.access c 0);
@@ -62,23 +67,23 @@ let test_layout () =
       [ aref "A" [ i; j ] <<- rd "B" [ i; j +$ 1 ] ]
   in
   let l = Layout.of_nest nest ~line:4 in
-  Alcotest.(check (array int)) "A extents" [| 10; 8 |] (Layout.extent l "A");
+  Alcotest.(check (array int)) "A extents" [| 10; 8 |] (extent l "A");
   (* B's J+1 subscript ranges over 2..9: extent 8 from its own minimum *)
   Alcotest.(check (array int)) "B extents follow the subscript range" [| 10; 8 |]
-    (Layout.extent l "B");
+    (extent l "B");
   (* column-major: consecutive I differ by 1, consecutive J by extent *)
   let a = aref "A" [ i; j ] in
-  let base = Layout.address l a [| 1; 1 |] in
-  Alcotest.(check int) "I stride 1" (base + 1) (Layout.address l a [| 1; 2 |]);
-  Alcotest.(check int) "J stride = column" (base + 10) (Layout.address l a [| 2; 1 |]);
+  let base = address l a [| 1; 1 |] in
+  Alcotest.(check int) "I stride 1" (base + 1) (address l a [| 1; 2 |]);
+  Alcotest.(check int) "J stride = column" (base + 10) (address l a [| 2; 1 |]);
   (* arrays are allocated in order of first appearance (B is read before
      A is written) and never overlap *)
   Alcotest.(check bool) "arrays disjoint" true
-    (abs (Layout.address l (aref "B" [ i; j +$ 1 ]) [| 1; 1 |] - base) >= 10 * 8);
+    (abs (address l (aref "B" [ i; j +$ 1 ]) [| 1; 1 |] - base) >= 10 * 8);
   Alcotest.(check bool) "footprint covers everything" true
     (Layout.footprint l >= (10 * 8) + (10 * 9));
   Alcotest.check_raises "unknown array" Not_found (fun () ->
-      ignore (Layout.extent l "Z"))
+      ignore (extent l "Z"))
 
 let test_layout_triangular () =
   let d = 2 in
@@ -91,7 +96,7 @@ let test_layout_triangular () =
   in
   let l = Layout.of_nest nest ~line:4 in
   (* subscript I+J ranges over 2..12 *)
-  Alcotest.(check (array int)) "interval analysis" [| 11 |] (Layout.extent l "A")
+  Alcotest.(check (array int)) "interval analysis" [| 11 |] (extent l "A")
 
 let test_cpu_model () =
   Alcotest.(check int) "expr depth" 2
