@@ -27,6 +27,9 @@ val clamp_divisible : Nest.t -> Ujam_linalg.Vec.t -> Ujam_linalg.Vec.t
     transformed nest, since the remainder loop lives outside the
     perfect-nest IR. *)
 
+val validate : Nest.t -> Ujam_linalg.Vec.t -> unit
+(** @raise Invalid_argument as {!unroll_and_jam} does on a malformed [u]. *)
+
 val unroll_and_jam : Nest.t -> Ujam_linalg.Vec.t -> Nest.t
 (** @raise Invalid_argument if [u] has a non-zero innermost component, a
     negative component, or the wrong dimension. *)
