@@ -247,31 +247,6 @@ let analyze_cmd =
     (Cmd.info "analyze" ~doc:"Reuse and dependence analysis of a kernel.")
     Term.(const run $ kernel_arg $ size_arg $ machine_arg $ json_arg)
 
-let tables_cmd =
-  let run e n bound =
-    let nest = build e n in
-    let d = Ujam_ir.Nest.depth nest in
-    let bounds = Array.make d bound in
-    bounds.(d - 1) <- 0;
-    (* The tables are machine-independent; any preset prepares them. *)
-    let b =
-      Balance.prepare ~machine:Ujam_machine.Presets.alpha
-        (Unroll_space.make ~bounds) nest
-    in
-    Format.printf "u          V_M  R    g_T  g_S@.";
-    Unroll_space.iter (Balance.space b) (fun u ->
-        let gt, gs =
-          List.fold_left
-            (fun (gt, gs) (_, t, s) -> (gt + t, gs + s))
-            (0, 0) (Balance.group_counts b u)
-        in
-        Format.printf "%-10s %-4d %-4d %-4d %-4d@." (Vec.to_string u)
-          (Balance.memory_ops b u) (Balance.registers b u) gt gs)
-  in
-  Cmd.v
-    (Cmd.info "tables" ~doc:"Print the precomputed unroll tables of a kernel.")
-    Term.(const run $ kernel_arg $ size_arg $ bound_arg 8)
-
 let print_corpus_report ~json ~timings report =
   if json then print_endline (Json.to_string (Engine.to_json ~timings report))
   else begin
@@ -462,6 +437,37 @@ let require_target s n =
   | Error e ->
       Format.eprintf "%s: %a@." s Ujam_ir.Parse.pp_error e;
       exit 1
+
+let target_req =
+  Arg.(
+    required
+    & pos 0 (some string) None
+    & info [] ~docv:"TARGET" ~doc:"Kernel name from Table 2 or a loop-nest file.")
+
+let tables_cmd =
+  let run target n bound =
+    let nest = require_target target n in
+    let d = Ujam_ir.Nest.depth nest in
+    let bounds = Array.make d bound in
+    bounds.(d - 1) <- 0;
+    (* The tables are machine-independent; any preset prepares them. *)
+    let b =
+      Balance.prepare ~machine:Ujam_machine.Presets.alpha
+        (Unroll_space.make ~bounds) nest
+    in
+    Format.printf "u          V_M  R    g_T  g_S@.";
+    Unroll_space.iter (Balance.space b) (fun u ->
+        let gt, gs =
+          List.fold_left
+            (fun (gt, gs) (_, t, s) -> (gt + t, gs + s))
+            (0, 0) (Balance.group_counts b u)
+        in
+        Format.printf "%-10s %-4d %-4d %-4d %-4d@." (Vec.to_string u)
+          (Balance.memory_ops b u) (Balance.registers b u) gt gs)
+  in
+  Cmd.v
+    (Cmd.info "tables" ~doc:"Print the precomputed unroll tables of a kernel or loop-nest file.")
+    Term.(const run $ target_req $ size_arg $ bound_arg 8)
 
 let compile_cmd =
   let run path machine bound no_cache permute =
@@ -683,12 +689,6 @@ let target_arg =
     & pos 0 (some string) None
     & info [] ~docv:"TARGET"
         ~doc:"Kernel name from Table 2 or a loop-nest file (see `ujc show').")
-
-let target_req =
-  Arg.(
-    required
-    & pos 0 (some string) None
-    & info [] ~docv:"TARGET" ~doc:"Kernel name from Table 2 or a loop-nest file.")
 
 (* ------------------------------------------------------------------ *)
 (* ujc emit: lower a nest (and optionally its engine-chosen unroll) to
