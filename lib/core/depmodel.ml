@@ -219,10 +219,8 @@ let class_members (c : classes) n =
     (fun i -> match cells.(c.repr.(i)) with j :: _ as m when j = i -> Some m | _ -> None)
     (List.init n Fun.id)
 
-let of_classes ~machine unrolled (temporal, spatial) =
-  let sites = Array.of_list (Site.of_nest unrolled) in
+let of_sites ~machine sites ~flops (temporal, spatial) =
   let n = Array.length sites in
-  let flops = Nest.flops_per_iteration unrolled in
   (* Streams: def-splitting of each temporal class. *)
   let streams =
     List.concat_map
@@ -268,11 +266,31 @@ let of_classes ~machine unrolled (temporal, spatial) =
   in
   Bruteforce.of_summary ~machine summary ~flops ~misses
 
+let of_classes ~machine unrolled =
+  of_sites ~machine (Array.of_list (Site.of_nest unrolled))
+    ~flops:(Nest.flops_per_iteration unrolled)
+
+(* The unrolled body's sites without building it: copy [c] (the [c]-th
+   offset in lex order, as {!Unroll} lays the copies out) of site [p] is
+   site [c * n + p], in statement [c * stmts + stmt p], its reference
+   shifted by the copy's iterations; each copy keeps the body's flops. *)
 let metrics ~machine nest =
-  let classes = classes nest in
+  let classes = classes nest and sites = Array.of_list (Site.of_nest nest) in
+  let n = Array.length sites and stmts = List.length (Nest.body nest) in
+  let steps = Array.map (fun (l : Loop.t) -> l.Loop.step) (Nest.loops nest) in
+  let copy c o =
+    let iters = Array.mapi (fun k x -> x * steps.(k)) (Vec.to_array o) in
+    Array.map
+      (fun (s : Site.t) ->
+        { s with id = (c * n) + s.id; stmt = (c * stmts) + s.stmt; ref_ = Aref.shift s.ref_ iters })
+      sites
+  in
   fun u ->
-    let unrolled = Transform.apply_exn (Transform.Unroll u) nest in
-    of_classes ~machine unrolled (classes u)
+    let cls = classes u in
+    of_sites ~machine
+      (Array.concat (List.mapi copy (Unroll.offsets u)))
+      ~flops:(Unroll_space.copies u * Nest.flops_per_iteration nest)
+      cls
 
 let best ~cache ~machine space nest =
   Bruteforce.best_of ~cache ~machine space (metrics ~machine nest)

@@ -4,29 +4,10 @@ open Ujam_reuse
 
 let partition ~localized nest = Streams.of_body ~localized nest
 
-(* One pass over the space fills all three summaries, and the summary
-   closures skip stream materialisation entirely (one full-box
-   partition per UGS, then an allocation-free walk per cell). *)
-let summary_tables ?groups space ~localized nest =
-  let groups = match groups with Some gs -> gs | None -> Ugs.of_nest nest in
-  let fns = List.map (fun g -> Streams.unrolled_summary_fn space ~localized g) groups in
-  let streams = Unroll_space.Table.create space 0 in
-  let mem = Unroll_space.Table.create space 0 in
-  let reg = Unroll_space.Table.create space 0 in
-  Unroll_space.iter space (fun u ->
-      let st, m, r =
-        List.fold_left
-          (fun (st, m, r) fn ->
-            let s = fn u in
-            ( st + s.Streams.streams,
-              m + s.Streams.memory_ops,
-              r + s.Streams.registers ))
-          (0, 0, 0) fns
-      in
-      Unroll_space.Table.set streams u st;
-      Unroll_space.Table.set mem u m;
-      Unroll_space.Table.set reg u r);
-  (streams, mem, reg)
+let summary_tables space ~localized nest =
+  let t = Streams.create_tables space in
+  List.iter (fun g -> ignore (Streams.add_unrolled t ~localized g)) (Ugs.of_nest nest);
+  (t.Streams.stream_table, t.Streams.mem_table, t.Streams.reg_table)
 
 (* Figure 5: the number of register-reuse sets after unrolling, without
    materialising the body.  Every definition copy always generates its

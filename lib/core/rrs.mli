@@ -9,9 +9,12 @@
     brute-force scheme of Wolf, Maydan and Chen.
 
     [summary_tables] stores totals per cell (read with
-    [Unroll_space.Table.get]), summed over {!Streams.unrolled_summary_fn}
-    per UGS; {!Balance.prepare} builds these, and the test suite checks
-    every cell against the streams of the materialised unrolled body.
+    [Unroll_space.Table.get]): {!Streams.add_unrolled} writes each UGS
+    into them from one partition of the full space box, with region
+    writes instead of a per-cell walk.  {!Balance.prepare} builds the
+    same tables alongside each UGS's g_T table, and the test suite
+    checks every cell against the streams of the materialised unrolled
+    body.
     [incremental_rrs_table] is the Figure 5 formulation: it works from
     the RRS leaders and their merge keys alone — definitions always
     regenerate their stream; a use-led leader's copy is absorbed from
@@ -26,14 +29,11 @@ val partition :
 (** Figure 4, [ComputeRRS], on the original body. *)
 
 val summary_tables :
-  ?groups:Ujam_reuse.Ugs.t list ->
   Unroll_space.t ->
   localized:Subspace.t ->
   Ujam_ir.Nest.t ->
   Unroll_space.Table.t * Unroll_space.Table.t * Unroll_space.Table.t
-(** [(streams, memory_ops, registers)] from one pass over the space.
-    [groups] supplies a precomputed UGS partition of the nest so it is
-    not re-partitioned here. *)
+(** [(streams, memory_ops, registers)] summed over the nest's UGSs. *)
 
 val incremental_rrs_table :
   Unroll_space.t -> localized:Subspace.t -> Ujam_ir.Nest.t -> Unroll_space.Table.t

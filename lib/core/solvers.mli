@@ -53,6 +53,14 @@ val spatial_point_class : h:Mat.t -> localized:Subspace.t -> Vec.t -> Vec.t * in
 (** {!temporal_point_class} over [H] with the contiguous row zeroed
     ({!Ujam_reuse.Selfreuse.spatial_matrix}). *)
 
+val point_classes :
+  a:Mat.t -> localized:Subspace.t -> Unroll_space.t -> Vec.t list -> int * int array * int array
+(** [(n, cls, shift)]: the copy points [m + o] ([m] the [i]-th of the
+    list, [o] at position [p] of the space, entry [i * card + p]) in [n]
+    classes by the keys of {!temporal_point_class} over [a] ([H] or [H_s]),
+    numbered in order of first appearance, and each point's shift
+    relative to its class's first point.  No key is allocated per point. *)
+
 val kernel_moves :
   h:Mat.t -> localized:Subspace.t -> unroll_levels:int list -> Vec.t list
 (** Generators of the self-merge lattice: directions in the unroll

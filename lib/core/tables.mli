@@ -10,12 +10,14 @@
     claimed the merge.  The total number of groups after unrolling by [u]
     is the prefix sum over [u' <= u] — the paper's [Sum].
 
-    [gts_exact_table]/[gss_exact_table] partition the merge-key-shifted
-    copy points of the whole space once per UGS, by the class keys of
-    {!Solvers.temporal_point_class}/{!Solvers.spatial_point_class}, and
-    store totals per cell; {!Balance.prepare} builds these.  The tests
-    check them cell for cell against the materialised unrolled body,
-    and [compute_table] against them on its domain ({!applicable}). *)
+    [gts_exact_table]/[gss_exact_table] store totals per cell: the
+    merge-key-shifted copy points of the whole space are partitioned
+    once per UGS ({!Solvers.point_classes}), and each class adds one on
+    the cover of its offsets.  The temporal partition is
+    {!Streams.add_unrolled}'s, which {!Balance.prepare} runs once per
+    UGS for g_T and the stream tables together.  The tests check them
+    cell for cell against the materialised unrolled body, and
+    [compute_table] against them on its domain ({!applicable}). *)
 
 open Ujam_linalg
 
@@ -56,8 +58,8 @@ val gts_applicable :
 
 val gts_exact_table :
   Unroll_space.t -> localized:Subspace.t -> Ujam_reuse.Ugs.t -> Unroll_space.Table.t
-(** Whole-space totals table (cells read with [Unroll_space.Table.get]);
-    the component decomposition is done once. *)
+(** Whole-space totals table (cells read with [Unroll_space.Table.get]):
+    the g_T table of {!Streams.add_unrolled}. *)
 
 val gss_exact_table :
   Unroll_space.t -> localized:Subspace.t -> Ujam_reuse.Ugs.t -> Unroll_space.Table.t
