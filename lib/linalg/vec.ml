@@ -61,8 +61,15 @@ let compare_pointwise a b =
     | false, false -> None
   end
 
-let leq_pointwise a b =
-  Array.length a = Array.length b && Array.for_all2 ( <= ) a b
+let leq_pointwise (a : t) (b : t) =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < n && a.(!i) <= b.(!i) do
+    incr i
+  done;
+  !i = n
 
 let pp ppf t =
   Format.fprintf ppf "(%a)"
