@@ -424,3 +424,45 @@ let suite =
     Gen.to_alcotest prop_partition_is_partition;
     Gen.to_alcotest prop_spatial_coarsens_temporal;
     Gen.to_alcotest prop_groups_match_reference ]
+
+(* The stream kind and the self-reuse tests as the kernel intersections
+   they decide ([ker H ∩ L], [ker H_s ∩ L]), on random access matrices
+   over every coordinate subspace of the loops and a random
+   non-coordinate one. *)
+let prop_stream_kind_matches_intersection =
+  let kernel h = Subspace.of_basis ~dim:(Mat.cols h) (Mat.kernel h) in
+  QCheck2.Test.make ~name:"reuse: stream kinds == kernel intersections" ~count:300
+    ~print:(fun (h, l) -> Format.asprintf "H =@.%a@.L = %a" Mat.pp h Subspace.pp l)
+    QCheck2.Gen.(
+      let* depth = int_range 1 4 in
+      let* rows = int_range 1 3 in
+      let* zero_col = option (int_range 0 (depth - 1)) in
+      let* entries = list_size (return rows) (list_size (return depth) (int_range (-3) 3)) in
+      let h =
+        Mat.of_rows_list
+          (List.map (List.mapi (fun k x -> if Some k = zero_col then 0 else x)) entries)
+      in
+      let* basis = list_size (int_range 1 2) (Gen.vec_gen ~dim:depth ~lo:(-2) ~hi:2) in
+      return (h, Subspace.of_basis ~dim:depth basis))
+    (fun (h, other) ->
+      let d = Mat.cols h in
+      let agrees localized =
+        let st = Subspace.intersect (kernel h) localized in
+        let ss = Subspace.intersect (kernel (Selfreuse.spatial_matrix h)) localized in
+        let expected =
+          if not (Subspace.is_trivial st) then Locality.Invariant
+          else if Subspace.dim ss > 0 then Locality.Unit_stride
+          else Locality.No_reuse
+        in
+        Locality.stream_of ~localized h = expected
+        && Selfreuse.has_self_temporal ~localized h = not (Subspace.is_trivial st)
+        && Selfreuse.has_self_spatial ~localized h = (Subspace.dim ss > Subspace.dim st)
+      in
+      List.for_all
+        (fun mask ->
+          agrees
+            (Subspace.span_dims ~dim:d (List.filter (fun k -> mask land (1 lsl k) <> 0) (List.init d Fun.id))))
+        (List.init (1 lsl d) Fun.id)
+      && agrees other)
+
+let suite = suite @ [ Gen.to_alcotest prop_stream_kind_matches_intersection ]

@@ -239,3 +239,21 @@ let suite =
     Gen.to_alcotest prop_solution_in_sound;
     Gen.to_alcotest prop_prepared_matches_reference;
     Gen.to_alcotest prop_prepared_rat_matches_mat ]
+
+(* [span_dims] builds its basis directly from the sorted levels; it must
+   be the canonical basis [of_basis] finds for the same unit vectors, in
+   any order and with repeats. *)
+let prop_span_dims_canonical =
+  QCheck2.Test.make ~name:"subspace: span_dims == of_basis of its unit vectors"
+    ~count:300
+    ~print:(fun (dim, ds) ->
+      Printf.sprintf "dim=%d levels=[%s]" dim (String.concat ";" (List.map string_of_int ds)))
+    QCheck2.Gen.(
+      let* dim = int_range 1 5 in
+      let* ds = list_size (int_range 0 7) (int_range 0 (dim - 1)) in
+      return (dim, ds))
+    (fun (dim, ds) ->
+      Subspace.equal (Subspace.span_dims ~dim ds)
+        (Subspace.of_basis ~dim (List.map (Vec.unit dim) ds)))
+
+let suite = suite @ [ Gen.to_alcotest prop_span_dims_canonical ]
