@@ -30,13 +30,11 @@ let prepare ?groups ~machine space nest =
   let partition =
     match groups with Some gs -> gs | None -> Ugs.of_nest nest
   in
-  (* One temporal partition per UGS fills its g_T and its V_M and R. *)
+  (* One temporal partition per UGS fills its g_T, g_S, V_M and R. *)
   let unrolled = Streams.create_tables space in
   let build_group (g : Ugs.t) =
-    { ugs = g;
-      stream = Locality.stream_of ~localized g.Ugs.h;
-      gts = Streams.add_unrolled unrolled ~localized g;
-      gss = Tables.gss_exact_table space ~localized g }
+    let gts, gss = Streams.add_unrolled unrolled ~localized g in
+    { ugs = g; stream = Locality.stream_of ~localized g.Ugs.h; gts; gss }
   in
   let groups = List.map build_group partition in
   let t = {

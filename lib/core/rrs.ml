@@ -4,11 +4,6 @@ open Ujam_reuse
 
 let partition ~localized nest = Streams.of_body ~localized nest
 
-let summary_tables space ~localized nest =
-  let t = Streams.create_tables space in
-  List.iter (fun g -> ignore (Streams.add_unrolled t ~localized g)) (Ugs.of_nest nest);
-  (t.Streams.stream_table, t.Streams.mem_table, t.Streams.reg_table)
-
 (* Figure 5: the number of register-reuse sets after unrolling, without
    materialising the body.  Every definition copy always generates its
    own stream (stores are never removed, Sec. 4.3).  A use-led (or

@@ -52,7 +52,6 @@ let floor_div x y =
   let q = x / y in
   if x mod y <> 0 && (x < 0) <> (y < 0) then q - 1 else q
 
-(* Reduces a key [A p], in place, and returns its shift. *)
 let reducer ~a ~localized =
   match Subspace.basis localized with
   | [] -> fun _ -> 0
@@ -69,17 +68,10 @@ let reducer ~a ~localized =
             t * b_last)
   | _ -> invalid_arg "Solvers.point_class: localized space of dimension > 1"
 
-let point_class ~a ~localized =
-  let reduce = reducer ~a ~localized in
-  fun p ->
-    let key = Vec.to_array (Mat.apply a p) in
-    let shift = reduce key in
-    (Vec.make key, shift)
-
 (* [A (m + o)] is [A m] plus the columns of [A] weighted by [o]'s
    coordinates, [o] stepping through the space in lex order; the key is
    reduced in one scratch array and looked up without allocating, and
-   copied only when its class is new. *)
+   copied only when its class is new, and kept as the class's key. *)
 let point_classes ~a ~localized space ms =
   let rows = Mat.rows a and d = Unroll_space.depth space and card = Unroll_space.card space in
   let reduce = reducer ~a ~localized in
@@ -105,7 +97,9 @@ let point_classes ~a ~localized space ms =
         Hashtbl.add classes (Array.copy key) (Hashtbl.length classes, s));
     Unroll_space.next space o
   done;
-  (Hashtbl.length classes, cls, shift)
+  let keys = Array.make (Hashtbl.length classes) [||] in
+  Hashtbl.iter (fun key (c, _) -> keys.(c) <- key) classes;
+  (keys, cls, shift)
 
 let kernel_moves ~h ~localized ~unroll_levels =
   let depth = Mat.cols h in
@@ -118,8 +112,3 @@ let kernel_moves ~h ~localized ~unroll_levels =
                if List.mem k unroll_levels then Vec.get v k else 0)
          in
          if Vec.is_zero projected then None else Some projected)
-
-let temporal_point_class ~h ~localized = point_class ~a:h ~localized
-
-let spatial_point_class ~h ~localized =
-  point_class ~a:(Selfreuse.spatial_matrix h) ~localized

@@ -36,30 +36,30 @@ val components : t -> dim:int -> (Vec.t * 'a) list -> ('a * key) list list
     first item placed, whose key is zero); components and members keep
     input order. *)
 
-val temporal_point_class : h:Mat.t -> localized:Subspace.t -> Vec.t -> Vec.t * int
-(** [(key, shift)] of an unroll-offset copy point.  Copies of one
-    reference at offsets [p] and [r] denote the same group iff some
-    integral [x] in the localized space satisfies [H x = H (p - r)]:
-    for [localized = span{b}] a lattice equivalence, which holds iff
-    [p] and [r] have equal keys, and then [x]'s innermost component
-    (the time shift between the copies' value streams) is
-    [shift p - shift r].  The key is [H p] minus [t (H b)], [t] the
-    floored quotient on the first non-zero coordinate of [H b], and the
-    shift is [t b_(d-1)]; if [H b = 0] or [localized] is trivial, the
-    key is [H p] and the shift 0.
+val reducer : a:Mat.t -> localized:Subspace.t -> int array -> int
+(** [reducer ~a ~localized key] reduces the key [A p] of a copy point
+    [p], in place, and returns its shift.  Copies of one reference at
+    offsets [p] and [r] denote the same group iff some integral [x] in
+    the localized space satisfies [A x = A (p - r)]: for
+    [localized = span{b}] a lattice equivalence, which holds iff the
+    reduced keys are equal, and then [x]'s innermost component (the time
+    shift between the copies' value streams) is [shift p - shift r].
+    The reduced key is [A p] minus [t (A b)], [t] the floored quotient
+    on the first non-zero coordinate of [A b], and the shift is
+    [t b_(d-1)]; if [A b = 0] or [localized] is trivial, the key is
+    [A p] and the shift 0.  [A] is [H], or [H_s]
+    ({!Ujam_reuse.Selfreuse.spatial_matrix}) for spatial classes.
     @raise Invalid_argument if [localized] has dimension above 1. *)
 
-val spatial_point_class : h:Mat.t -> localized:Subspace.t -> Vec.t -> Vec.t * int
-(** {!temporal_point_class} over [H] with the contiguous row zeroed
-    ({!Ujam_reuse.Selfreuse.spatial_matrix}). *)
-
 val point_classes :
-  a:Mat.t -> localized:Subspace.t -> Unroll_space.t -> Vec.t list -> int * int array * int array
-(** [(n, cls, shift)]: the copy points [m + o] ([m] the [i]-th of the
-    list, [o] at position [p] of the space, entry [i * card + p]) in [n]
-    classes by the keys of {!temporal_point_class} over [a] ([H] or [H_s]),
-    numbered in order of first appearance, and each point's shift
-    relative to its class's first point.  No key is allocated per point. *)
+  a:Mat.t -> localized:Subspace.t -> Unroll_space.t -> Vec.t list ->
+  int array array * int array * int array
+(** [(keys, cls, shift)]: the copy points [m + o] ([m] the [i]-th of
+    the list, [o] at position [p] of the space, entry [i * card + p]) in
+    classes by their {!reducer} keys over [a], numbered in order of
+    first appearance, each class's reduced key, and each point's shift
+    relative to its class's first point.  No key is allocated per
+    point. *)
 
 val kernel_moves :
   h:Mat.t -> localized:Subspace.t -> unroll_levels:int list -> Vec.t list

@@ -9,11 +9,11 @@
 
     [of_body] partitions the sites of a (possibly materialised unrolled)
     body — the ground truth — while [add_unrolled] fills the stream,
-    V_M, R and g_T tables of the unrolled loop over a whole unroll space
-    from the original UGS alone, which is the paper's point: no unrolled
-    body is ever built.  One temporal partition of the full space box
-    per UGS, and a few region writes per class, replace any per-vector
-    walk. *)
+    V_M, R, g_T and g_S tables of the unrolled loop over a whole unroll
+    space from the original UGS alone, which is the paper's point: no
+    unrolled body is ever built.  One temporal partition of the full
+    space box per UGS, and a few region writes per class, replace any
+    per-vector walk and any spatial partition. *)
 
 open Ujam_linalg
 open Ujam_reuse
@@ -71,14 +71,15 @@ type tables = {
 val create_tables : Unroll_space.t -> tables
 (** All-zero tables over a space. *)
 
-val add_unrolled : tables -> localized:Subspace.t -> Ugs.t -> Unroll_space.Table.t
+val add_unrolled :
+  tables -> localized:Subspace.t -> Ugs.t -> Unroll_space.Table.t * Unroll_space.Table.t
 (** [add_unrolled t ~localized ugs] adds the {!summarize}d streams of
     [ugs] unrolled by each [u] of [t.space] to [t]'s cells and returns
-    the UGS's g_T table.  The copies of the full space box are
+    the UGS's g_T and g_S tables.  The copies of the full space box are
     partitioned once ({!Solvers.point_classes}); each class is a cover
-    of its copy offsets, or for a varying UGS's streams one corner per
-    point of their join closure ({!Unroll_space.Table.add_lattice}; a
-    closure of more than [sqrt card] points is one pass over the
-    cells).
-    The tests pin these tables against {!of_body} on the materialised
-    unrolled body. *)
+    of its copy offsets in g_T, or for a varying UGS's streams one
+    corner per point of their join closure
+    ({!Unroll_space.Table.add_lattice}).  A temporal class lies in one
+    spatial class, named by its key with the contiguous row dropped, and
+    g_S is a cover per spatial class.  The tests pin these tables
+    against the materialised unrolled body. *)

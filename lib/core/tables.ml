@@ -110,23 +110,3 @@ let gts_applicable space ~localized ugs =
       (Solvers.kernel_moves ~h:ugs.Ugs.h ~localized
          ~unroll_levels:(Unroll_space.unroll_levels space))
     (gts_leaders ~localized ugs)
-
-let gts_exact_table space ~localized ugs =
-  Streams.add_unrolled (Streams.create_tables space) ~localized ugs
-
-(* g_S(u) counts the spatial classes of the merge-key-shifted copy
-   points with an offset [<= u]: a cover per class. *)
-let gss_exact_table space ~localized (ugs : Ugs.t) =
-  let t = Unroll_space.Table.create space 0 and card = Unroll_space.card space in
-  List.iter
-    (fun keys ->
-      let n, cls, _ =
-        Solvers.point_classes ~a:(Selfreuse.spatial_matrix ugs.Ugs.h) ~localized space keys
-      in
-      let offsets = Array.make n [] in
-      Array.iteri (fun j c -> offsets.(c) <- (j mod card) :: offsets.(c)) cls;
-      Array.iter (fun offs -> Unroll_space.Table.add_cover_at t offs 1) offsets)
-    (components ~dim:(Unroll_space.depth space)
-       ~solver:(spatial_solver space ~localized ugs)
-       (gss_leaders ~localized ugs));
-  t

@@ -1,6 +1,5 @@
 (** The group-count tables (g_T, g_S) over the unroll space: the
-    paper's incremental computations (Figures 2 and 3) and the exact
-    tables the search reads.
+    paper's incremental computations (Figures 2 and 3).
 
     [compute_table] is the incremental [ComputeTable] of Figure 2: start
     every cell at the number of leaders, then for each leader pair
@@ -10,13 +9,13 @@
     claimed the merge.  The total number of groups after unrolling by [u]
     is the prefix sum over [u' <= u] — the paper's [Sum].
 
-    [gts_exact_table]/[gss_exact_table] store totals per cell: the
-    merge-key-shifted copy points of the whole space are partitioned
-    once per UGS ({!Solvers.point_classes}), and each class adds one on
-    the cover of its offsets.  The temporal partition is
-    {!Streams.add_unrolled}'s, which {!Balance.prepare} runs once per
-    UGS for g_T and the stream tables together.  The tests check them
-    cell for cell against the materialised unrolled body, and
+    The exact tables the search reads store totals per cell and come
+    from {!Streams.add_unrolled}, which {!Balance.prepare} runs once per
+    UGS: one temporal partition of the merge-key-shifted copy points of
+    the whole space ({!Solvers.point_classes}) gives g_T as a cover per
+    temporal class and g_S as a cover per spatial class, each temporal
+    class lying inside one spatial class.  The tests check them cell
+    for cell against the materialised unrolled body, and
     [compute_table] against them on its domain ({!applicable}). *)
 
 open Ujam_linalg
@@ -55,11 +54,3 @@ val applicable :
 
 val gts_applicable :
   Unroll_space.t -> localized:Subspace.t -> Ujam_reuse.Ugs.t -> bool
-
-val gts_exact_table :
-  Unroll_space.t -> localized:Subspace.t -> Ujam_reuse.Ugs.t -> Unroll_space.Table.t
-(** Whole-space totals table (cells read with [Unroll_space.Table.get]):
-    the g_T table of {!Streams.add_unrolled}. *)
-
-val gss_exact_table :
-  Unroll_space.t -> localized:Subspace.t -> Ujam_reuse.Ugs.t -> Unroll_space.Table.t

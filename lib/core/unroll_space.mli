@@ -8,7 +8,7 @@
     [u] during the search.
 
     Tables are backed by a flat array plus a pending difference layer:
-    region writes ([add_from]/[add_cover]) cost O(corners), or one
+    region writes ([add_lattice]/[add_cover]) cost O(corners), or one
     O(card) pass for a large join closure, and corners are folded into
     per-cell values by d running-sum sweeps (O(d·card) total) on the
     first read after a write; prefix sums are answered in
@@ -60,20 +60,27 @@ val next : t -> int array -> unit
 (** [next t o] steps the coordinates [o] to the next vector of the space
     in lex order, from the last vector to the first. *)
 
-val vector : t -> int -> Vec.t
-(** The vector at a position: the inverse of {!index}. *)
-
 type lattice
 (** The join closure of some positions: the pointwise maxima of their
     non-empty subsets. *)
 
 val lattice : t -> int list -> lattice
-(** O(sqrt card) joins per position while the closure has at most
-    [sqrt card] points, else one O(d·card) sweep. *)
+(** Positions that form a chain are their own closure, found by one
+    comparison per neighbour in lex order; otherwise O(sqrt card) joins
+    per position while the closure has at most [sqrt card] points, else
+    one O(d·card) sweep. *)
 
-val lattice_points : lattice -> Vec.t array
-(** The closure's points in lex order (a linear extension of the
-    pointwise order). *)
+val cover : t -> int list -> lattice
+(** The closure of the minimal positions: a constant written over it
+    lands once at every [u] above one of the positions. *)
+
+val lattice_size : lattice -> int
+(** The number of points of the closure. *)
+
+val lattice_below : lattice -> int array -> int -> int -> bool
+(** [lattice_below l offs k i]: [offs.(i)], one of the positions [l]
+    was built from, is pointwise below the [k]-th point of [l] in lex
+    order.  [offs] is decoded once, at the partial application. *)
 
 module Table : sig
   type space = t
@@ -84,24 +91,17 @@ module Table : sig
   val set : t -> Vec.t -> int -> unit
   val add : t -> Vec.t -> int -> unit
 
-  val add_from : t -> Vec.t -> int -> unit
-  (** [add_from t lo delta] adds [delta] at every [u >= lo] pointwise.
-      O(1): a single corner update on the pending difference layer. *)
-
   val add_lattice : t -> lattice -> (int -> int) -> unit
   (** [add_lattice t l f] adds [f k] at every [u] whose largest point of
-      [l] below it is the [k]-th of {!lattice_points}: one corner per
-      point, by Möbius inversion over the closure, or one O(card) pass
-      when the closure is large. *)
+      [l] below it is the [k]-th in lex order: one corner per point, by
+      Möbius inversion over the closure (plain differences on a chain),
+      or one O(card) pass when the closure is large. *)
 
   val add_cover : t -> Vec.t list -> int -> unit
   (** [add_cover t points delta] adds [delta] once at every [u] above at
       least one of [points] (the union of their upward boxes): the
-      {!add_lattice} write of a constant over their closure, never a
+      {!add_lattice} write of a constant over their {!cover}, never a
       per-point scan. *)
-
-  val add_cover_at : t -> int list -> int -> unit
-  (** {!add_cover} over positions of the space. *)
 
   val prefix_sum : t -> Vec.t -> int
   (** [sum over 0 <= u' <= u of t[u']] — the paper's [Sum] function.

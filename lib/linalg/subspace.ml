@@ -12,10 +12,13 @@ let of_basis ~dim vs =
   in
   { ambient = dim; basis }
 
-(* The unit vectors are already the canonical rows of the identity. *)
+(* Unit vectors in ascending order are canonical rows, as the identity's are. *)
 let full n = { ambient = n; basis = List.init n (Vec.unit n) }
 let trivial n = { ambient = n; basis = [] }
-let span_dims ~dim ds = of_basis ~dim (List.map (Vec.unit dim) ds)
+
+let span_dims ~dim ds =
+  let ds = List.sort_uniq Int.compare (List.filter (fun d -> d >= 0 && d < dim) ds) in
+  { ambient = dim; basis = List.map (Vec.unit dim) ds }
 
 let ambient_dim t = t.ambient
 let dim t = List.length t.basis
@@ -30,6 +33,11 @@ let mem v t =
   if Vec.is_zero v then true
   else if is_trivial t then false
   else Option.is_some (Mat.solve_rat (cols_matrix t) v)
+
+(* [H B y = 0] for the basis [B] of [L] exactly when [B y] is in
+   [ker H ∩ L], and [B] has full column rank. *)
+let kernel_dim h l =
+  if is_trivial l then 0 else dim l - Mat.rank (Mat.mul h (cols_matrix l))
 
 let equal a b = a.ambient = b.ambient && List.equal Vec.equal a.basis b.basis
 let subset a b = a.ambient = b.ambient && List.for_all (fun v -> mem v b) a.basis

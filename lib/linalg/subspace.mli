@@ -18,7 +18,9 @@ val trivial : int -> t
 
 val span_dims : dim:int -> int list -> t
 (** [span_dims ~dim ds] is the coordinate subspace spanned by the
-    standard basis vectors [e_d] for [d] in [ds]. *)
+    standard basis vectors [e_d] for [d] in [ds] (in any order, repeats
+    allowed; levels outside [0, dim) are ignored), built without
+    elimination. *)
 
 val ambient_dim : t -> int
 val dim : t -> int
@@ -27,6 +29,11 @@ val is_trivial : t -> bool
 val is_full : t -> bool
 
 val mem : Vec.t -> t -> bool
+
+val kernel_dim : Mat.t -> t -> int
+(** [kernel_dim h l] is [dim (ker H ∩ L)], as [dim L - rank (H B)] for
+    the basis [B] of [L]: over a coordinate span [K] that is [|K|] minus
+    the rank of [H]'s columns [K].  No intersection is built. *)
 
 val equal : t -> t -> bool
 val subset : t -> t -> bool

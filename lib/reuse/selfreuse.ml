@@ -7,10 +7,7 @@ let kernel_space h = Subspace.of_basis ~dim:(Mat.cols h) (Mat.kernel h)
 let self_temporal h = kernel_space h
 let self_spatial h = kernel_space (spatial_matrix h)
 
-let has_self_temporal ~localized h =
-  not (Subspace.is_trivial (Subspace.intersect (self_temporal h) localized))
+let has_self_temporal ~localized h = Subspace.kernel_dim h localized > 0
 
 let has_self_spatial ~localized h =
-  let st = Subspace.intersect (self_temporal h) localized in
-  let ss = Subspace.intersect (self_spatial h) localized in
-  Subspace.dim ss > Subspace.dim st
+  Subspace.kernel_dim (spatial_matrix h) localized > Subspace.kernel_dim h localized

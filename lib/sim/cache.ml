@@ -141,7 +141,6 @@ let access_run t addrs incs trips = replay t addrs incs trips
 
 let accesses t = t.accesses
 let misses t = t.misses
-let miss_rate t = if t.accesses = 0 then 0.0 else float_of_int t.misses /. float_of_int t.accesses
 
 let reset t =
   Array.fill t.tags 0 (Array.length t.tags) invalid;

@@ -29,7 +29,6 @@ val access_run : t -> int array -> int array -> int -> unit
 
 val accesses : t -> int
 val misses : t -> int
-val miss_rate : t -> float
 val reset : t -> unit
 
 (** Reference stack-distance implementation (Mattson's LRU stack): a

@@ -21,8 +21,9 @@ open Ujam_core
    Every ingredient of the per-[u] stream decomposition is independent
    of [u] once computed over the full space box: the component
    decomposition, the class partition of the deposit points (lattice
-   classes restrict to sub-boxes; [Solvers.temporal_point_class] names
-   each point's class), each deposit's time offset, and the total time
+   classes restrict to sub-boxes;
+   [Table_wrappers.temporal_point_class] names each point's class),
+   each deposit's time offset, and the total time
    order — the unrolled body orders by (delta desc, body copy, stmt,
    def, site id), and the textual rank of the copy at offset [o] within
    any box [0..u] orders exactly as lex([o]).  So we partition and sort
@@ -60,7 +61,7 @@ let unrolled_summary_fn space ~localized (ugs : Ugs.t) =
     Solvers.components solver ~dim:(Unroll_space.depth space) resolved_classes
   in
   let invariant = Selfreuse.has_self_temporal ~localized h in
-  let point_class = Solvers.temporal_point_class ~h ~localized in
+  let point_class = Table_wrappers.temporal_point_class ~h ~localized in
   let compare_deposit a b =
     let c = compare b.d_delta a.d_delta in
     if c <> 0 then c
@@ -247,11 +248,11 @@ let exact_totals_table space ~solver ~point_class leaders =
 let gts_exact_table space ~localized ugs =
   exact_totals_table space
     ~solver:(temporal_solver space ~localized ugs)
-    ~point_class:(Solvers.temporal_point_class ~h:ugs.Ugs.h ~localized)
+    ~point_class:(Table_wrappers.temporal_point_class ~h:ugs.Ugs.h ~localized)
     (gts_leaders ~localized ugs)
 
 let gss_exact_table space ~localized ugs =
   exact_totals_table space
     ~solver:(spatial_solver space ~localized ugs)
-    ~point_class:(Solvers.spatial_point_class ~h:ugs.Ugs.h ~localized)
+    ~point_class:(Table_wrappers.spatial_point_class ~h:ugs.Ugs.h ~localized)
     (gss_leaders ~localized ugs)

@@ -13,8 +13,8 @@ let copies u = Vec.fold (fun acc x -> acc * (x + 1)) 1 u
 let group_tables space ~localized nest =
   List.map
     (fun g ->
-      ( Tables.gts_exact_table space ~localized g,
-        Tables.gss_exact_table space ~localized g ))
+      ( Table_wrappers.gts_exact_table space ~localized g,
+        Table_wrappers.gss_exact_table space ~localized g ))
     (Ujam_reuse.Ugs.of_nest nest)
 
 let prop_group_counts_monotone =
@@ -60,7 +60,7 @@ let prop_memory_bounded =
     (fun (nest, space) ->
       let d = Nest.depth nest in
       let localized = innermost d in
-      let _, mem, _ = Rrs.summary_tables space ~localized nest in
+      let _, mem, _ = Table_wrappers.summary_tables space ~localized nest in
       let v0 = Unroll_space.Table.get mem (Vec.zero d) in
       let sites = List.length (Site.of_nest nest) in
       let ok = ref true in
@@ -75,7 +75,7 @@ let prop_registers_at_least_streams =
     (fun (nest, space) ->
       let d = Nest.depth nest in
       let localized = innermost d in
-      let streams, mem, reg = Rrs.summary_tables space ~localized nest in
+      let streams, mem, reg = Table_wrappers.summary_tables space ~localized nest in
       let ok = ref true in
       Unroll_space.iter space (fun u ->
           let s = Unroll_space.Table.get streams u in

@@ -1,9 +1,9 @@
 (* The class key that partitions copy points for the exact tables
-   ([Solvers.temporal_point_class]/[spatial_point_class]), checked
-   against the pairwise solve it replaces. *)
+   ([Solvers.reducer], through [Table_wrappers.temporal_point_class]/
+   [spatial_point_class]), checked against the pairwise solve it
+   replaces. *)
 
 open Ujam_linalg
-open Ujam_core
 
 let v = Vec.of_list
 
@@ -78,7 +78,7 @@ let prop_temporal_matches_pairwise =
   QCheck2.Test.make ~name:"solvers: temporal class keys == pairwise solve"
     ~count:300 ~print:print_case case_gen (fun (h, localized, points) ->
       agrees
-        ~point_class:(Solvers.temporal_point_class ~h ~localized)
+        ~point_class:(Table_wrappers.temporal_point_class ~h ~localized)
         ~equiv:(point_equiv ~a:h ~localized)
         points)
 
@@ -86,7 +86,7 @@ let prop_spatial_matches_pairwise =
   QCheck2.Test.make ~name:"solvers: spatial class keys == pairwise solve"
     ~count:300 ~print:print_case case_gen (fun (h, localized, points) ->
       agrees
-        ~point_class:(Solvers.spatial_point_class ~h ~localized)
+        ~point_class:(Table_wrappers.spatial_point_class ~h ~localized)
         ~equiv:
           (point_equiv ~a:(Ujam_reuse.Selfreuse.spatial_matrix h) ~localized)
         points)
@@ -99,7 +99,7 @@ let test_floor_negative () =
      division would round the wrong way. *)
   let h = Mat.of_rows_list [ [ 1; -2 ]; [ 2; 1 ] ] in
   let localized = Subspace.span_dims ~dim:2 [ 1 ] in
-  let point_class = Solvers.temporal_point_class ~h ~localized in
+  let point_class = Table_wrappers.temporal_point_class ~h ~localized in
   let p = v [ -3; 0 ] in
   (* t = floor (-3 / -2) = 1, key = (-3, -6) - 1 * (-2, 1) *)
   Alcotest.check key_and_shift "canonical key" (v [ -1; -7 ], 1) (point_class p);
@@ -112,7 +112,7 @@ let test_floor_negative () =
   done;
   (* a positive pivot with a negative numerator rounds down too *)
   let point_class =
-    Solvers.temporal_point_class ~h:(Mat.of_rows_list [ [ 1; 3 ] ]) ~localized
+    Table_wrappers.temporal_point_class ~h:(Mat.of_rows_list [ [ 1; 3 ] ]) ~localized
   in
   Alcotest.check key_and_shift "floor (-4 / 3) = -2" (v [ 2 ], -2)
     (point_class (v [ -4; 0 ]))
@@ -122,7 +122,7 @@ let test_zero_image () =
      H p itself and no point moves in time *)
   let h = Mat.of_rows_list [ [ 1; -1; 0 ]; [ 0; 2; 0 ] ] in
   let localized = Subspace.span_dims ~dim:3 [ 2 ] in
-  let point_class = Solvers.temporal_point_class ~h ~localized in
+  let point_class = Table_wrappers.temporal_point_class ~h ~localized in
   let p = v [ -2; 3; -1 ] in
   Alcotest.check key_and_shift "key = H p" (v [ -5; 6 ], 0) (point_class p);
   Alcotest.check key_and_shift "innermost moves stay in class" (v [ -5; 6 ], 0)
@@ -131,7 +131,7 @@ let test_zero_image () =
 let test_trivial_localized () =
   let h = Mat.of_rows_list [ [ 1; 0 ]; [ 0; 1 ] ] in
   let point_class =
-    Solvers.temporal_point_class ~h ~localized:(Subspace.trivial 2)
+    Table_wrappers.temporal_point_class ~h ~localized:(Subspace.trivial 2)
   in
   Alcotest.check key_and_shift "key = H p" (v [ -1; 4 ], 0)
     (point_class (v [ -1; 4 ]))
@@ -141,10 +141,10 @@ let test_plane_rejected () =
   let localized = Subspace.span_dims ~dim:3 [ 1; 2 ] in
   Alcotest.check_raises "2-dimensional localized space"
     (Invalid_argument "Solvers.point_class: localized space of dimension > 1")
-    (fun () -> ignore (Solvers.temporal_point_class ~h ~localized (v [ 0; 0; 0 ])));
+    (fun () -> ignore (Table_wrappers.temporal_point_class ~h ~localized (v [ 0; 0; 0 ])));
   Alcotest.check_raises "spatial too"
     (Invalid_argument "Solvers.point_class: localized space of dimension > 1")
-    (fun () -> ignore (Solvers.spatial_point_class ~h ~localized (v [ 0; 0; 0 ])))
+    (fun () -> ignore (Table_wrappers.spatial_point_class ~h ~localized (v [ 0; 0; 0 ])))
 
 let suite =
   [ Alcotest.test_case "floor with negative pivot" `Quick test_floor_negative;

@@ -3,6 +3,10 @@ open Ujam_core
 
 let v = Vec.of_list
 
+(* [add_from t lo x] adds [x] at every [u >= lo]: the cover of one
+   point. *)
+let add_from t lo x = Unroll_space.Table.add_cover t [ lo ] x
+
 let test_make () =
   let s = Unroll_space.make ~bounds:[| 2; 3; 0 |] in
   Alcotest.(check int) "card" 12 (Unroll_space.card s);
@@ -48,7 +52,7 @@ let test_table () =
 let test_table_regions () =
   let s = Unroll_space.make ~bounds:[| 2; 2; 0 |] in
   let t = Unroll_space.Table.create s 0 in
-  Unroll_space.Table.add_from t (v [ 1; 1; 0 ]) 1;
+  add_from t (v [ 1; 1; 0 ]) 1;
   Alcotest.(check int) "inside" 1 (Unroll_space.Table.get t (v [ 2; 1; 0 ]));
   Alcotest.(check int) "outside" 0 (Unroll_space.Table.get t (v [ 2; 0; 0 ]));
   let t2 = Unroll_space.Table.create s 0 in
@@ -175,7 +179,7 @@ let prop_table_parity =
               Unroll_space.Table.add t u x;
               Reference.add r u x
           | Add_from (u, x) ->
-              Unroll_space.Table.add_from t u x;
+              add_from t u x;
               Reference.add_from r u x
           | Add_cover (ps, x) ->
               Unroll_space.Table.add_cover t ps x;
@@ -225,7 +229,7 @@ let prop_iter_pruned =
     pruned_gen
     (fun (space, ops, thr) ->
       let t = Unroll_space.Table.create space 0 in
-      List.iter (fun (lo, x) -> Unroll_space.Table.add_from t lo x) ops;
+      List.iter (fun (lo, x) -> add_from t lo x) ops;
       let visited = ref [] in
       let pruned =
         Unroll_space.iter_pruned space
