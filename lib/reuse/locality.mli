@@ -8,9 +8,9 @@
 
     where [base] is 0 for an invariant stream (self-temporal reuse in
     [L]), [1/line] for a unit-stride stream (self-spatial reuse in [L]),
-    and 1 otherwise.  Group-temporal sets beyond their group-spatial
-    leader cost only the [1/line] line-boundary term; invariant streams
-    stay in registers. *)
+    and 1 otherwise, each decided by a rank ({!Subspace.kernel_dim}).
+    Group-temporal sets beyond their group-spatial leader cost only the
+    [1/line] line-boundary term; invariant streams stay in registers. *)
 
 open Ujam_linalg
 

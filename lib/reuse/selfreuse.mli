@@ -4,8 +4,9 @@
     iterations [i] and [i + r] exactly when [H r = 0]: the self-temporal
     space is [ker H].  Zeroing the row of the memory-contiguous array
     dimension (row 0, Fortran column-major) yields [H_s]; [ker H_s]
-    additionally contains the directions that stay within an array
-    column, i.e. within a cache line: the self-spatial space. *)
+    adds the directions within an array column, i.e. a cache line: the
+    self-spatial space.  The [has_] tests intersect no spaces: they
+    compare [dim (ker A ∩ L)], a rank ({!Subspace.kernel_dim}). *)
 
 open Ujam_linalg
 
