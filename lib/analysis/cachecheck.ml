@@ -36,10 +36,13 @@ let write_through (l : Machine.Level.t) =
 
 (* Profiles are line-relative, so each line size gets its own histogram
    pass (an L1 line and a TLB page are three orders of magnitude apart);
-   levels sharing a line share the pass. *)
+   levels sharing a line share the pass, and all passes one set of counts. *)
 let report_levels ~levels nest =
   let lines = List.sort_uniq compare (List.map (fun (l : Machine.Level.t) -> l.line) levels) in
-  let passes = List.map (fun line -> (line, lazy (Distance.profiles ~line nest))) lines in
+  let counted = lazy (Distance.profiles nest) in
+  let passes =
+    List.map (fun line -> (line, lazy (Option.map (fun p -> p ~line) (Lazy.force counted)))) lines
+  in
   let rec go acc = function
     | [] -> Some (List.rev acc)
     | (l : Machine.Level.t) :: rest -> (

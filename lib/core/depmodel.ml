@@ -36,6 +36,17 @@ let prepare_body nest =
   let depth = Nest.depth nest in
   let steps = Array.map (fun (l : Loop.t) -> l.Loop.step) (Nest.loops nest) in
   let bounds = Graph.bounds nest in
+  (* One pair-test setup and one memo of coupled right-hand sides per
+     distinct [H]: a test depends on [(H, rhs, bounds)] alone. *)
+  let setups = Hashtbl.create 8 in
+  let setup h =
+    match Hashtbl.find_opt setups h with
+    | Some s -> s
+    | None ->
+        let s = (Test_pair.prepare h, Hashtbl.create 16) in
+        Hashtbl.add setups h s;
+        s
+  in
   let fact rp rq =
     let h = Aref.h_matrix rp and hq = Aref.h_matrix rq in
     if Aref.rank rp <> Aref.rank rq then Some (Shift (Depvec.all_star depth))
@@ -44,7 +55,7 @@ let prepare_body nest =
       if not (Mat.equal h hq) then
         Some (Per_copy (h, hq, dc, Test_pair.nonuniform ~bounds hq h))
       else if not (Mat.is_separable_siv h && Array.for_all (( = ) 1) steps) then begin
-        let prepared = Test_pair.prepare h and memo = Hashtbl.create 16 in
+        let prepared, memo = setup h in
         let test rhs =
           match Hashtbl.find_opt memo rhs with
           | Some r -> r
@@ -57,7 +68,7 @@ let prepare_body nest =
         Some (Per_copy (h, h, dc, test))
       end
       else
-        match Test_pair.uniform ~bounds:None (Test_pair.prepare h) dc with
+        match Test_pair.uniform ~bounds:None (fst (setup h)) dc with
         | Test_pair.Independent -> None
         | Test_pair.Dependent dvec ->
             let inner_in_range =

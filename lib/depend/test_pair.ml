@@ -21,18 +21,16 @@ let prepare h =
 
 (* Distance set of a uniform pair: solutions of H d = rhs. *)
 let uniform ~bounds p rhs =
-  match Subspace.solve_rat p.solver (Vec.make rhs) with
-  | None -> Independent
-  | Some x when not (Array.for_all Rat.is_integer x) ->
+  match Subspace.outcome p.solver rhs with
+  | Subspace.No_solution -> Independent
+  | Subspace.Fractional ->
       (* A rational solution exists but our particular point is not
          integral: a coupled matrix stays conservative, a separable one
          has no integer solution at all. *)
       if p.coupled then Dependent (Depvec.all_star (Array.length p.touched)) else Independent
-  | Some x ->
+  | Subspace.Integral x ->
       let dvec =
-        Array.mapi
-          (fun k t -> if t then Depvec.Star else Depvec.Exact (Rat.to_int_exn x.(k)))
-          p.touched
+        Array.mapi (fun k t -> if t then Depvec.Star else Depvec.Exact (Vec.get x k)) p.touched
       in
       (* An exact component larger than the loop's iteration range rules
          the whole dependence out. *)

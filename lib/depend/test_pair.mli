@@ -25,8 +25,8 @@ val prepare : Ujam_linalg.Mat.t -> prepared
 val uniform : bounds:(int * int) array option -> prepared -> int array -> result
 (** [uniform ~bounds (prepare h) rhs] tests [H i + c1] against [H i + c2]
     with [rhs = c1 - c2]; the result depends only on [(H, rhs, bounds)].
-    The particular solution is {!Ujam_linalg.Subspace.solve_rat}, which
-    is [Mat.solve_rat h rhs].
+    The particular solution is {!Ujam_linalg.Subspace.outcome}'s, which
+    is [Mat.solve_rat h rhs], found in [int] arithmetic.
     A non-integral rational solution is all-[Star] for a coupled [H] and
     [Independent] otherwise.  {!test} is [prepare] + [uniform] on a
     uniform pair. *)

@@ -58,7 +58,15 @@ let subst t images =
 
 let equal a b =
   a == b || (a.const = b.const && Array.for_all2 ( = ) a.coefs b.coefs)
-let compare a b = Stdlib.compare (a.coefs, a.const) (b.coefs, b.const)
+(* [Stdlib.compare] on [(coefs, const)]: shorter [coefs] first, then lex. *)
+let rec compare_from a b k =
+  if k = Array.length a.coefs then Int.compare a.const b.const
+  else match Int.compare a.coefs.(k) b.coefs.(k) with 0 -> compare_from a b (k + 1) | c -> c
+
+let compare a b =
+  match Int.compare (Array.length a.coefs) (Array.length b.coefs) with
+  | 0 -> compare_from a b 0
+  | c -> c
 
 let uses_level t k = t.coefs.(k) <> 0
 let is_constant t = Array.for_all (fun c -> c = 0) t.coefs

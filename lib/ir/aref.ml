@@ -28,25 +28,17 @@ let equal a b =
      && Array.length a.subs = Array.length b.subs
      && Array.for_all2 Affine.equal a.subs b.subs
 
+let rec compare_from a b k =
+  if k = Array.length a.subs then 0
+  else match Affine.compare a.subs.(k) b.subs.(k) with 0 -> compare_from a b (k + 1) | c -> c
+
 let compare a b =
-  let c = String.compare a.base b.base in
-  if c <> 0 then c
-  else
-    let c = Stdlib.compare (Array.length a.subs) (Array.length b.subs) in
-    if c <> 0 then c
-    else
-      let r = ref 0 in
-      (try
-         Array.iter2
-           (fun x y ->
-             let c = Affine.compare x y in
-             if c <> 0 then begin
-               r := c;
-               raise Exit
-             end)
-           a.subs b.subs
-       with Exit -> ());
-      !r
+  match String.compare a.base b.base with
+  | 0 -> (
+      match Int.compare (Array.length a.subs) (Array.length b.subs) with
+      | 0 -> compare_from a b 0
+      | c -> c)
+  | c -> c
 
 let uses_level t k = Array.exists (fun s -> Affine.uses_level s k) t.subs
 

@@ -27,8 +27,6 @@ let equal a b =
   a.nrows = b.nrows && a.ncols = b.ncols
   && Array.for_all2 (fun ra rb -> Array.for_all2 ( = ) ra rb) a.data b.data
 
-let compare a b = Stdlib.compare (a.nrows, a.ncols, a.data) (b.nrows, b.ncols, b.data)
-
 let transpose t = init ~rows:t.ncols ~cols:t.nrows (fun i j -> t.data.(j).(i))
 
 let mul a b =

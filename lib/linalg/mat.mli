@@ -22,7 +22,6 @@ val get : t -> int -> int -> int
 val row : t -> int -> Vec.t
 val col : t -> int -> Vec.t
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val transpose : t -> t
 val mul : t -> t -> t

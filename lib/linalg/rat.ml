@@ -57,5 +57,3 @@ let ( <= ) a b = Stdlib.( <= ) (compare a b) 0
 let pp ppf t =
   if Stdlib.( = ) t.den 1 then Format.fprintf ppf "%d" t.num
   else Format.fprintf ppf "%d/%d" t.num t.den
-
-let to_string t = Format.asprintf "%a" pp t

@@ -52,4 +52,3 @@ val ( < ) : t -> t -> bool
 val ( <= ) : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -6,7 +6,8 @@
     ([ker H_s]) reuse spaces, and their intersections.  A subspace is
     stored as the reduced row echelon form of its spanning set, rescaled
     to primitive integer rows, so structural equality coincides with
-    subspace equality. *)
+    subspace equality.  A {!prepared} solve eliminates once in [Rat] and
+    answers every right-hand side in [int] arithmetic. *)
 
 type t
 
@@ -28,53 +29,54 @@ val basis : t -> Vec.t list
 val is_trivial : t -> bool
 val is_full : t -> bool
 
-val mem : Vec.t -> t -> bool
-
 val kernel_dim : Mat.t -> t -> int
 (** [kernel_dim h l] is [dim (ker H ∩ L)], as [dim L - rank (H B)] for
     the basis [B] of [L]: over a coordinate span [K] that is [|K|] minus
     the rank of [H]'s columns [K].  No intersection is built. *)
 
 val equal : t -> t -> bool
-val subset : t -> t -> bool
 
 val intersect : t -> t -> t
 val join : t -> t -> t
 (** Smallest subspace containing both (span of the union of bases). *)
 
-val solvable_in : Mat.t -> Vec.t -> t -> bool
-(** [solvable_in h c l] decides whether some [x] in [l] satisfies
-    [h x = c] with [x] integral.  The witness search is exact for the
-    separable-SIV access matrices the paper's algorithms target
-    (Sec. 3.5); for general matrices it is sound but may miss non-integer
-    parameterisations. *)
-
-val solution_in : Mat.t -> Vec.t -> t -> Vec.t option
-(** Like {!solvable_in} but returns the witness [x]: [x = B y] for the
-    basis [B] of the subspace and the particular rational solution [y] of
-    [H B y = c] with free variables zero.  It is [solve (prepare h l) c]. *)
-
 type prepared
-(** [H] eliminated against one subspace [L]: everything {!solution_in}
-    computes that does not depend on [c].  All members of a uniformly
+(** [H] eliminated against one subspace [L]: everything solving
+    [H x = c] in [L] computes that does not depend on [c].  All members of a uniformly
     generated set share [H], so their reuse tests in one localized space
     share one [prepared]. *)
 
 val prepare : Mat.t -> t -> prepared
 (** [prepare h l] factors [H] against [L]: Gauss-Jordan elimination
-    ({!Mat.rref_rat}) on [H B | I], pivoting only on the [H B] columns,
-    recording the rank, the pivot columns and the row operations [E]
-    (the [I] half).  The pivots are those {!Mat.solve_rat} finds on
-    [H B | c] for any [c].  The elimination runs once, at the first
-    non-zero [c] solved. *)
+    ({!Mat.rref_rat}) on [H B | I], pivoting only on the [H B] columns
+    (the pivots {!Mat.solve_rat} finds on [H B | c] for any [c]), keeps
+    the row operations [E] (the [I] half) as integers: its rows past the
+    rank, denominators cleared, and each row [X_i = D_i (B E_p)_i] for the
+    pivot rows [E_p] and the lcm [D_i] of the denominators that row uses.
+    It runs at the first non-zero [c]; an [int] overflow scaling it, or
+    applying it to a [c] whose products pass [max_int], raises
+    [Invalid_argument]. *)
+
+type outcome =
+  | No_solution  (** no rational [x] in [L] *)
+  | Fractional  (** a rational witness, not integral *)
+  | Integral of Vec.t  (** the integral witness [x] *)
+
+val outcome : prepared -> int array -> outcome
+(** [x_i = (B y)_i = X_i c / D_i] for the rational solution [y] of
+    [H B y = c] with free variables zero (over the full space,
+    {!Mat.solve_rat}'s), if [c] has a zero dot product with every cleared
+    row past the rank. *)
 
 val solve : prepared -> Vec.t -> Vec.t option
-(** [solve (prepare h l) c] is [solution_in h c l], bit for bit: [E c]
-    must vanish past the rank, the pivot rows give [y], and [x = B y]
-    must be integral. *)
+(** The [Integral] witness of {!outcome}: some integral [x] in [L] with
+    [H x = c].  The witness search is exact for the separable-SIV access
+    matrices the paper's algorithms target (Sec. 3.5); for general
+    matrices it is sound but may miss non-integer parameterisations. *)
 
-val solve_rat : prepared -> Vec.t -> Rat.t array option
-(** The rational witness [B y] before the integrality check.  Over the
-    full space ([B] the identity) it is [Mat.solve_rat h c]. *)
+val solvable_diff : prepared -> truncate:bool -> int array -> int array -> bool
+(** [solvable_diff p ~truncate c1 c2] is [solve p c <> None] for
+    [c = c1 - c2] with its first component zeroed when [truncate] (the
+    spatial test), read in place: it allocates nothing. *)
 
 val pp : Format.formatter -> t -> unit

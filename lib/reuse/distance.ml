@@ -40,16 +40,9 @@ let affine_interval (a : Affine.t) ivals =
     a.Affine.coefs;
   (!lo, !hi)
 
-let array_strides nest =
-  let loops = Nest.loops nest in
-  let d = Array.length loops in
-  let ivals = Array.make d (0, 0) in
-  for k = 0 to d - 1 do
-    let l = loops.(k) in
-    let lo, _ = affine_interval l.Loop.lo ivals in
-    let _, hi = affine_interval l.Loop.hi ivals in
-    ivals.(k) <- (lo, max lo hi)
-  done;
+(* Per base, the interval each subscript covers over the index box
+   [ivals]. *)
+let subscript_ranges nest ivals =
   let ranges : (string, (int * int) array) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (r, _) ->
@@ -69,6 +62,19 @@ let array_strides nest =
           cur.(i) <- (min clo lo, max chi hi))
         r.Aref.subs)
     (Nest.refs nest);
+  ranges
+
+let array_strides nest =
+  let loops = Nest.loops nest in
+  let d = Array.length loops in
+  let ivals = Array.make d (0, 0) in
+  for k = 0 to d - 1 do
+    let l = loops.(k) in
+    let lo, _ = affine_interval l.Loop.lo ivals in
+    let _, hi = affine_interval l.Loop.hi ivals in
+    ivals.(k) <- (lo, max lo hi)
+  done;
+  let ranges = subscript_ranges nest ivals in
   let strides = Hashtbl.create 8 in
   Hashtbl.iter
     (fun b rng ->
@@ -95,25 +101,6 @@ let sweep_spans nest ~strides ~ivals =
     let ivals_k =
       Array.mapi (fun j (lo, hi) -> if j < k then (lo, lo) else (lo, hi)) ivals
     in
-    let ranges : (string, (int * int) array) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun (r, _) ->
-        let b = Aref.base r in
-        let cur =
-          match Hashtbl.find_opt ranges b with
-          | Some cur -> cur
-          | None ->
-              let cur = Array.make (Aref.rank r) (max_int, min_int) in
-              Hashtbl.add ranges b cur;
-              cur
-        in
-        Array.iteri
-          (fun i s ->
-            let lo, hi = affine_interval s ivals_k in
-            let clo, chi = cur.(i) in
-            cur.(i) <- (min clo lo, max chi hi))
-          r.Aref.subs)
-      (Nest.refs nest);
     Hashtbl.iter
       (fun b rng ->
         let st =
@@ -138,7 +125,7 @@ let sweep_spans nest ~strides ~ivals =
               cur
         in
         cur.(k) <- span)
-      ranges
+      (subscript_ranges nest ivals_k)
   done;
   spans
 
@@ -175,7 +162,7 @@ let write_only_weight ~localized (u : Ugs.t) =
       else acc +. float_of_int (List.length cls))
     0.0 p.Groups.classes
 
-let profiles ?groups ~line nest =
+let profiles ?groups nest =
   match Nest.trip_counts nest with
   | None -> None
   | Some trips ->
@@ -184,184 +171,176 @@ let profiles ?groups ~line nest =
       let spaces = Array.init d (fun k -> suffix_space ~dim:d k) in
       let strides, ivals = array_strides nest in
       let spans = sweep_spans nest ~strides ~ivals in
-      (* distinct lines all bases together can touch during a sweep of
-         loops k..d-1: the footprint bound on that sweep's reuse distance *)
-      let footprint_lines k =
-        Hashtbl.fold
-          (fun _ sp acc -> acc +. (float_of_int sp.(k) /. float_of_int line) +. 1.0)
-          spans 0.0
+      (* Everything so far, the counts and the write-only mass hold for
+         every line size. *)
+      let counts =
+        Array.map (fun l -> List.map (fun u -> Locality.ugs_cost ~localized:l u) groups) spaces
       in
-      let total_iters =
-        Array.fold_left (fun acc t -> acc *. float_of_int t) 1.0 trips
-      in
-      let sweep_iters k =
-        let it = ref 1.0 in
-        for j = k to d - 1 do
-          it := !it *. float_of_int trips.(j)
-        done;
-        !it
-      in
-      let base_span_fp k b =
-        match Hashtbl.find_opt spans b with
-        | Some sp -> (float_of_int sp.(k) /. float_of_int line) +. 1.0
-        | None -> Float.infinity
-      in
-      (* Distinct lines one UGS's orbit can land on while loops k..d-1
-         sweep.  The span bound counts every line under the swept
-         interval, but a loop whose address stride exceeds the line
-         skips lines: each loop contributes at most min(trips, its own
-         span in lines) landing positions.  Members are constant
-         offsets of one orbit; an offset below the line only adds the
-         boundary-crossing fraction spread/line. *)
-      let orbit_lines k (u : Ugs.t) =
-        match u.Ugs.members with
-        | [] -> Float.infinity
-        | (s : Site.t) :: _ -> (
-            let r = s.Site.ref_ in
-            match Hashtbl.find_opt strides (Aref.base r) with
-            | None -> Float.infinity
-            | Some st when Array.length st <> Aref.rank r -> Float.infinity
-            | Some st ->
-                let dep = Aref.depth r in
-                if dep <> d then Float.infinity
-                else
-                  let prod = ref 1.0 in
-                  for j = k to d - 1 do
-                    let sj = ref 0 in
-                    Array.iteri
-                      (fun i (sub : Affine.t) ->
-                        if Array.length sub.Affine.coefs = d then
-                          sj := !sj + (sub.Affine.coefs.(j) * st.(i)))
-                      r.Aref.subs;
-                    let tj = float_of_int trips.(j) in
-                    let span_lines =
-                      (float_of_int (abs !sj) *. (tj -. 1.0)
-                       /. float_of_int line)
-                      +. 1.0
+      let write_only = Array.of_list (List.map (write_only_weight ~localized:spaces.(0)) groups) in
+      Some (fun ~line ->
+        (* distinct lines all bases together can touch during a sweep of
+           loops k..d-1: the footprint bound on that sweep's reuse distance *)
+        let footprint_lines k =
+          Hashtbl.fold
+            (fun _ sp acc -> acc +. (float_of_int sp.(k) /. float_of_int line) +. 1.0)
+            spans 0.0
+        in
+        let total_iters =
+          Array.fold_left (fun acc t -> acc *. float_of_int t) 1.0 trips
+        in
+        let sweep_iters k =
+          let it = ref 1.0 in
+          for j = k to d - 1 do
+            it := !it *. float_of_int trips.(j)
+          done;
+          !it
+        in
+        let base_span_fp k b =
+          match Hashtbl.find_opt spans b with
+          | Some sp -> (float_of_int sp.(k) /. float_of_int line) +. 1.0
+          | None -> Float.infinity
+        in
+        (* Distinct lines one UGS's orbit can land on while loops k..d-1
+           sweep.  The span bound counts every line under the swept
+           interval, but a loop whose address stride exceeds the line
+           skips lines: each loop contributes at most min(trips, its own
+           span in lines) landing positions.  Members are constant
+           offsets of one orbit; an offset below the line only adds the
+           boundary-crossing fraction spread/line. *)
+        let orbit_lines k (u : Ugs.t) =
+          match u.Ugs.members with
+          | [] -> Float.infinity
+          | (s : Site.t) :: _ -> (
+              let r = s.Site.ref_ in
+              match Hashtbl.find_opt strides (Aref.base r) with
+              | None -> Float.infinity
+              | Some st when Array.length st <> Aref.rank r -> Float.infinity
+              | Some st ->
+                  let dep = Aref.depth r in
+                  if dep <> d then Float.infinity
+                  else
+                    let prod = ref 1.0 in
+                    for j = k to d - 1 do
+                      let sj = ref 0 in
+                      Array.iteri
+                        (fun i (sub : Affine.t) ->
+                          if Array.length sub.Affine.coefs = d then
+                            sj := !sj + (sub.Affine.coefs.(j) * st.(i)))
+                        r.Aref.subs;
+                      let tj = float_of_int trips.(j) in
+                      let span_lines =
+                        (float_of_int (abs !sj) *. (tj -. 1.0)
+                         /. float_of_int line)
+                        +. 1.0
+                      in
+                      prod := !prod *. Float.min tj span_lines
+                    done;
+                    let offset (s : Site.t) =
+                      let acc = ref 0 in
+                      Array.iteri
+                        (fun i (sub : Affine.t) ->
+                          acc := !acc + (sub.Affine.const * st.(i)))
+                        s.Site.ref_.Aref.subs;
+                      !acc
                     in
-                    prod := !prod *. Float.min tj span_lines
-                  done;
-                  let offset (s : Site.t) =
-                    let acc = ref 0 in
-                    Array.iteri
-                      (fun i (sub : Affine.t) ->
-                        acc := !acc + (sub.Affine.const * st.(i)))
-                      s.Site.ref_.Aref.subs;
-                    !acc
-                  in
-                  let offs = List.map offset u.Ugs.members in
-                  let spread =
-                    List.fold_left Int.max min_int offs
-                    - List.fold_left Int.min max_int offs
-                  in
-                  !prod *. (1.0 +. (float_of_int spread /. float_of_int line)))
-      in
-      let ugs_lines k (u : Ugs.t) =
-        let span =
+                    let offs = List.map offset u.Ugs.members in
+                    let spread =
+                      List.fold_left Int.max min_int offs
+                      - List.fold_left Int.min max_int offs
+                    in
+                    !prod *. (1.0 +. (float_of_int spread /. float_of_int line)))
+        in
+        let ugs_span k (u : Ugs.t) =
           match u.Ugs.members with
           | (s : Site.t) :: _ -> base_span_fp k (Aref.base s.Site.ref_)
           | [] -> Float.infinity
         in
-        Float.min span (orbit_lines k u)
-      in
-      (* distinct lines all groups together can touch during a sweep of
-         loops k..d-1 — every touched line belongs to some group's
-         orbit, so the per-group sum is an upper bound too; take the
-         tighter of the two *)
-      let ugs_footprint k =
-        List.fold_left (fun acc u -> acc +. ugs_lines k u) 0.0 groups
-      in
-      (* cost.(k).(g): line fetches per innermost iteration of UGS g with
-         reuse inside S_k exploited (Equation 1); monotone non-increasing
-         in localization, so the differences are the histogram weights.
-         Two corrections Equation 1's boolean classification cannot see:
-         a No_reuse stream stepping less than a line per iteration is a
-         strided spatial walk (scale by stride/line), and under the
-         localized-space premise — the cache holds one S_k sweep — a
-         sweep fetches at most its distinct-line footprint, so the rate
-         is capped by footprint / sweep iterations (a middle loop whose
-         address stride is below a page keeps re-touching the same pages
-         even though it never walks the line dimension). *)
-      let cost =
-        Array.mapi
-          (fun k localized ->
-            let iters = sweep_iters k in
-            Array.of_list
-              (List.map
-                 (fun (u : Ugs.t) ->
-                   let c = Locality.ugs_cost ~line ~localized u in
-                   let eq1 =
-                     match c.Locality.stream with
-                     | Locality.No_reuse ->
-                         let s = inner_stride ~strides u in
-                         if s < line then
-                           c.Locality.accesses *. float_of_int s
-                           /. float_of_int line
-                         else c.Locality.accesses
-                     | _ -> c.Locality.accesses
-                   in
-                   let fp_rate = ugs_lines k u /. iters in
-                   Float.min eq1 fp_rate)
-                 groups))
-          spaces
-      in
-      (* the interval clamps can locally invert the chain (a span is not
-         sub-multiplicative in the trip counts); restore monotonicity —
-         localizing more loops never costs more *)
-      for k = d - 2 downto 0 do
-        Array.iteri
-          (fun g c_k -> cost.(k).(g) <- Float.min c_k cost.(k + 1).(g))
-          cost.(k)
-      done;
-      let vol_per_iter = Array.map (Array.fold_left ( +. ) 0.0) cost in
-      (* Lines touched during one full sweep of loops k..d-1 — the reuse
-         distance seen by references whose reuse loop k-1 carries. *)
-      let sweep_volume k =
-        let iters = ref 1.0 in
-        for j = k to d - 1 do
-          iters := !iters *. float_of_int trips.(j)
-        done;
-        (* fetch count over the sweep, capped by the sweep's distinct-line
-           footprint: re-fetching the same lines does not deepen the stack *)
-        Float.min
-          (vol_per_iter.(k) *. !iters)
-          (Float.min (footprint_lines k) (ugs_footprint k))
-      in
-      let near_distance = Float.max 1.0 (2.0 *. vol_per_iter.(d - 1)) in
-      let profile_of idx (u : Ugs.t) =
-        let n = float_of_int (List.length u.Ugs.members) in
-        let c k = cost.(k).(idx) in
-        let near = Float.max 0.0 (n -. c (d - 1)) in
-        (* compulsory mass cannot exceed the base's distinct lines *)
-        let base_lines =
-          match u.Ugs.members with
-          | (s : Site.t) :: _ -> (
-              match Hashtbl.find_opt spans (Aref.base s.Site.ref_) with
-              | Some sp ->
-                  (float_of_int sp.(0) /. float_of_int line) +. 1.0
-              | None -> Float.infinity)
-          | [] -> Float.infinity
+        let ugs_lines k u = Float.min (ugs_span k u) (orbit_lines k u) in
+        (* distinct lines all groups together can touch during a sweep of
+           loops k..d-1 — every touched line belongs to some group's
+           orbit, so the per-group sum is an upper bound too; take the
+           tighter of the two *)
+        let ugs_footprint k =
+          List.fold_left (fun acc u -> acc +. ugs_lines k u) 0.0 groups
         in
-        let cold = ref (c 0) in
-        let buckets = ref [] in
-        for k = d - 1 downto 1 do
-          let w = c k -. c (k - 1) in
-          if w > eps then
-            if trips.(k - 1) <= 1 then
-              (* the carrying loop never comes around: those fetches are
-                 compulsory, not capacity-sensitive *)
-              cold := !cold +. w
-            else buckets := { distance = sweep_volume k; weight = w } :: !buckets
+        (* cost.(k).(g): line fetches per innermost iteration of UGS g with
+           reuse inside S_k exploited (Equation 1); monotone non-increasing
+           in localization, so the differences are the histogram weights.
+           Two corrections Equation 1's boolean classification cannot see:
+           a No_reuse stream stepping less than a line per iteration is a
+           strided spatial walk (scale by stride/line), and under the
+           localized-space premise — the cache holds one S_k sweep — a
+           sweep fetches at most its distinct-line footprint, so the rate
+           is capped by footprint / sweep iterations (a middle loop whose
+           address stride is below a page keeps re-touching the same pages
+           even though it never walks the line dimension). *)
+        let cost =
+          Array.mapi
+            (fun k counts ->
+              let iters = sweep_iters k in
+              Array.of_list
+                (List.map2
+                   (fun (u : Ugs.t) fold ->
+                     let c = fold ~line in
+                     let eq1 =
+                       match c.Locality.stream with
+                       | Locality.No_reuse ->
+                           let s = inner_stride ~strides u in
+                           if s < line then
+                             c.Locality.accesses *. float_of_int s
+                             /. float_of_int line
+                           else c.Locality.accesses
+                       | _ -> c.Locality.accesses
+                     in
+                     let fp_rate = ugs_lines k u /. iters in
+                     Float.min eq1 fp_rate)
+                   groups counts))
+            counts
+        in
+        (* the interval clamps can locally invert the chain (a span is not
+           sub-multiplicative in the trip counts); restore monotonicity —
+           localizing more loops never costs more *)
+        for k = d - 2 downto 0 do
+          Array.iteri
+            (fun g c_k -> cost.(k).(g) <- Float.min c_k cost.(k + 1).(g))
+            cost.(k)
         done;
-        { ugs = u;
-          accesses = n;
-          near;
-          near_distance;
-          buckets = List.sort (fun a b -> Float.compare a.distance b.distance) !buckets;
-          cold = Float.min !cold (base_lines /. total_iters);
-          write_only = write_only_weight ~localized:spaces.(0) u }
-      in
-      Some (List.mapi profile_of groups)
+        let vol_per_iter = Array.map (Array.fold_left ( +. ) 0.0) cost in
+        (* Lines touched during one full sweep of loops k..d-1 — the reuse
+           distance seen by references whose reuse loop k-1 carries. *)
+        let sweep_volume k =
+          (* fetch count over the sweep, capped by the sweep's distinct-line
+             footprint: re-fetching the same lines does not deepen the stack *)
+          Float.min
+            (vol_per_iter.(k) *. sweep_iters k)
+            (Float.min (footprint_lines k) (ugs_footprint k))
+        in
+        let near_distance = Float.max 1.0 (2.0 *. vol_per_iter.(d - 1)) in
+        let profile_of idx (u : Ugs.t) =
+          let n = float_of_int (List.length u.Ugs.members) in
+          let c k = cost.(k).(idx) in
+          let near = Float.max 0.0 (n -. c (d - 1)) in
+          (* compulsory mass cannot exceed the base's distinct lines *)
+          let cold = ref (c 0) in
+          let buckets = ref [] in
+          for k = d - 1 downto 1 do
+            let w = c k -. c (k - 1) in
+            if w > eps then
+              if trips.(k - 1) <= 1 then
+                (* the carrying loop never comes around: those fetches are
+                   compulsory, not capacity-sensitive *)
+                cold := !cold +. w
+              else buckets := { distance = sweep_volume k; weight = w } :: !buckets
+          done;
+          { ugs = u;
+            accesses = n;
+            near;
+            near_distance;
+            buckets = List.sort (fun a b -> Float.compare a.distance b.distance) !buckets;
+            cold = Float.min !cold (ugs_span 0 u /. total_iters);
+            write_only = write_only.(idx) }
+        in
+        List.mapi profile_of groups)
 
 (* A bucket misses when its reuse distance strictly exceeds the
    capacity: a working set of exactly [capacity_lines] distinct lines

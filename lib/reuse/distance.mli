@@ -1,5 +1,5 @@
 (** Static reuse-distance profiles (after arXiv:2411.13854, recast on
-    the paper's UGS algebra).
+    the paper's UGS algebra), from one set of reuse counts per nest.
 
     No trace is taken.  For each UGS the Equation-1 memory cost is
     evaluated at every suffix localized space [S_k = span{k..d-1}]; the
@@ -50,9 +50,12 @@ type profile = {
 }
 
 val profiles :
-  ?groups:Ugs.t list -> line:int -> Ujam_ir.Nest.t -> profile list option
-(** One profile per UGS; [None] when the nest's trip counts are not
-    compile-time constant.  [groups] supplies a precomputed partition. *)
+  ?groups:Ugs.t list -> Ujam_ir.Nest.t -> (line:int -> profile list) option
+(** One profile per UGS for each line size; [None] when the nest's trip
+    counts are not compile-time constant.  Each UGS's counts at every
+    suffix level ({!Locality.ugs_cost}) and its write-only mass are line
+    independent: they are taken once, before any line is given.  [groups]
+    supplies a precomputed partition. *)
 
 val miss_ratio :
   ?write_through:bool -> ?slack:float -> capacity_lines:float -> profile -> float

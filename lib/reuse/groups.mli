@@ -5,7 +5,9 @@
     [H x = c1 - c2]; group-spatial reuse iff [H_s x = t(c1 - c2)] where
     both the matrix row and the difference component of the contiguous
     dimension are zeroed (they then walk the same cache lines).  Both
-    relations are equivalences on a UGS, so they partition it. *)
+    relations are equivalences on a UGS, so they partition it: a scan
+    against the class leaders, each test read in place
+    ({!Subspace.solvable_diff}). *)
 
 open Ujam_linalg
 

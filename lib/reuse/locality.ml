@@ -18,8 +18,7 @@ let stream_of ~localized h =
   else if Subspace.kernel_dim (Selfreuse.spatial_matrix h) localized > 0 then Unit_stride
   else No_reuse
 
-let ugs_cost ?temporal ~line ~localized (u : Ugs.t) =
-  if line <= 0 then invalid_arg "Locality.ugs_cost: line size";
+let ugs_cost ?temporal ~localized (u : Ugs.t) =
   let temporal =
     match temporal with Some p -> p | None -> Groups.group_temporal ~localized u
   in
@@ -28,12 +27,14 @@ let ugs_cost ?temporal ~line ~localized (u : Ugs.t) =
   let leaders = { u with members = Groups.leaders temporal } in
   let g_s = Groups.count (Groups.group_spatial ~localized leaders) in
   let stream = stream_of ~localized u.Ugs.h in
-  let l = float_of_int line in
-  let groups = float_of_int g_s +. (float_of_int (g_t - g_s) /. l) in
-  let base =
-    match stream with Invariant -> 0.0 | Unit_stride -> 1.0 /. l | No_reuse -> 1.0
-  in
-  { ugs = u; g_t; g_s; stream; accesses = groups *. base }
+  fun ~line ->
+    if line <= 0 then invalid_arg "Locality.ugs_cost: line size";
+    let l = float_of_int line in
+    let groups = float_of_int g_s +. (float_of_int (g_t - g_s) /. l) in
+    let base =
+      match stream with Invariant -> 0.0 | Unit_stride -> 1.0 /. l | No_reuse -> 1.0
+    in
+    { ugs = u; g_t; g_s; stream; accesses = groups *. base }
 
 let nest_accesses ?groups ~line ~localized nest =
   let groups =

@@ -30,9 +30,11 @@ val stream_of : localized:Subspace.t -> Mat.t -> stream
     {!Selfreuse.has_self_spatial}. *)
 
 val ugs_cost :
-  ?temporal:Groups.partition -> line:int -> localized:Subspace.t -> Ugs.t -> ugs_cost
+  ?temporal:Groups.partition -> localized:Subspace.t -> Ugs.t -> line:int -> ugs_cost
 (** [temporal] supplies the UGS's group-temporal partition in [L] when
-    the caller has already built it. *)
+    the caller has already built it.  [ugs_cost ~localized u] counts
+    [g_T], [g_S] and the stream kind, which do not depend on the line,
+    once; applying it to each line size only folds them. *)
 
 val nest_accesses :
   ?groups:Ugs.t list -> line:int -> localized:Subspace.t -> Ujam_ir.Nest.t -> float

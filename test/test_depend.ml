@@ -457,3 +457,47 @@ let suite =
     Alcotest.test_case "group: negated" `Quick test_group_negated;
     Gen.to_alcotest prop_input_subset;
     Gen.to_alcotest prop_graph_matches_reference ]
+
+(* [Test_pair.uniform] against the rational solve it was served by: the
+   three outcomes of the particular solution, read as before. *)
+let reference_uniform ~bounds h rhs =
+  let depth = Mat.cols h in
+  let touched = Array.make depth false in
+  List.iter
+    (fun k -> Array.iteri (fun i x -> if x <> 0 then touched.(i) <- true) (Vec.to_array k))
+    (Mat.kernel h);
+  let full = Solve_reference.prepare h (Subspace.full depth) in
+  match Solve_reference.outcome full (Vec.make rhs) with
+  | Subspace.No_solution -> Test_pair.Independent
+  | Subspace.Fractional when Mat.is_separable_siv h -> Test_pair.Independent
+  | Subspace.Fractional -> Test_pair.Dependent (Depvec.all_star depth)
+  | Subspace.Integral x ->
+      let dvec =
+        Array.mapi (fun k t -> if t then Depvec.Star else Depvec.Exact (Vec.get x k)) touched
+      in
+      let out e (lo, hi) = match e with Depvec.Exact d -> abs d > hi - lo | Depvec.Star -> false in
+      let beyond bs = List.exists2 out (Array.to_list dvec) (Array.to_list bs) in
+      if Option.fold ~none:false ~some:beyond bounds then Test_pair.Independent
+      else Test_pair.Dependent dvec
+
+let prop_uniform_matches_rat =
+  QCheck2.Test.make ~name:"depend: uniform pair test = Rat reference" ~count:500
+    QCheck2.Gen.(
+      let* h = Test_subspace.matrix_gen in
+      let d = Mat.cols h in
+      let* rhss = list_size (int_range 1 6) (Test_subspace.any_rhs_gen h (Subspace.full d)) in
+      let* bounded = bool in
+      return (h, List.map Vec.to_array rhss, if bounded then Some (Array.make d (1, 3)) else None))
+    (fun (h, rhss, bounds) ->
+      let p = Test_pair.prepare h in
+      let same a b =
+        match (a, b) with
+        | Test_pair.Independent, Test_pair.Independent -> true
+        | Test_pair.Dependent x, Test_pair.Dependent y -> Depvec.equal x y
+        | _ -> false
+      in
+      List.for_all
+        (fun rhs -> same (Test_pair.uniform ~bounds p rhs) (reference_uniform ~bounds h rhs))
+        rhss)
+
+let suite = suite @ [ Gen.to_alcotest prop_uniform_matches_rat ]

@@ -466,3 +466,16 @@ let prop_stream_kind_matches_intersection =
       && agrees other)
 
 let suite = suite @ [ Gen.to_alcotest prop_stream_kind_matches_intersection ]
+
+(* The array scan must return the queue scan's classes, in class order
+   and member order, temporal and spatial (truncated) alike. *)
+let prop_array_scan_matches_queue_scan =
+  QCheck2.Test.make ~name:"reuse: array class scan = queue scan reference" ~count:500 ugs_gen
+    (fun ((u : Ugs.t), localized) ->
+      let ids = List.map (List.map (fun (s : Site.t) -> s.Site.id)) in
+      ids (Groups.group_temporal ~localized u).Groups.classes
+      = ids (Solve_reference.group_temporal ~localized u)
+      && ids (Groups.group_spatial ~localized u).Groups.classes
+         = ids (Solve_reference.group_spatial ~localized u))
+
+let suite = suite @ [ Gen.to_alcotest prop_array_scan_matches_queue_scan ]

@@ -22,7 +22,7 @@ let point_equiv ~a ~localized =
         let res =
           Option.map
             (fun x -> Vec.get x innermost)
-            (Subspace.solution_in a (Mat.apply a diff) localized)
+            (Subspace.solve (Subspace.prepare a localized) (Mat.apply a diff))
         in
         Hashtbl.add memo diff res;
         res

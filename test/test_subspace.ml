@@ -3,6 +3,11 @@ open Ujam_linalg
 let v = Vec.of_list
 let space = Alcotest.testable Subspace.pp Subspace.equal
 
+(* An integral [x] in [L] with [H x = c]: the prepared solve of one
+   right-hand side. *)
+let solution_in h c l = Subspace.solve (Subspace.prepare h l) c
+let solvable_in h c l = Option.is_some (solution_in h c l)
+
 let test_construction () =
   Alcotest.(check int) "full dim" 3 (Subspace.dim (Subspace.full 3));
   Alcotest.(check int) "trivial dim" 0 (Subspace.dim (Subspace.trivial 3));
@@ -15,18 +20,18 @@ let test_construction () =
 
 let test_membership () =
   let l = Subspace.of_basis ~dim:3 [ v [ 1; 1; 0 ]; v [ 0; 0; 1 ] ] in
-  Alcotest.(check bool) "member" true (Subspace.mem (v [ 2; 2; 5 ]) l);
-  Alcotest.(check bool) "zero always member" true (Subspace.mem (v [ 0; 0; 0 ]) l);
-  Alcotest.(check bool) "non-member" false (Subspace.mem (v [ 1; 0; 0 ]) l);
+  Alcotest.(check bool) "member" true (Solve_reference.mem (v [ 2; 2; 5 ]) l);
+  Alcotest.(check bool) "zero always member" true (Solve_reference.mem (v [ 0; 0; 0 ]) l);
+  Alcotest.(check bool) "non-member" false (Solve_reference.mem (v [ 1; 0; 0 ]) l);
   Alcotest.(check bool) "rational combination member" true
-    (Subspace.mem (v [ 1; 1; 0 ]) (Subspace.of_basis ~dim:3 [ v [ 2; 2; 0 ] ]))
+    (Solve_reference.mem (v [ 1; 1; 0 ]) (Subspace.of_basis ~dim:3 [ v [ 2; 2; 0 ] ]))
 
 let test_canonical_equality () =
   Alcotest.check space "different bases, same space"
     (Subspace.of_basis ~dim:2 [ v [ 1; 0 ]; v [ 1; 1 ] ])
     (Subspace.of_basis ~dim:2 [ v [ 0; 1 ]; v [ 1; 0 ] ]);
   Alcotest.(check bool) "subset" true
-    (Subspace.subset
+    (Solve_reference.subset
        (Subspace.of_basis ~dim:3 [ v [ 1; 1; 0 ] ])
        (Subspace.span_dims ~dim:3 [ 0; 1 ]))
 
@@ -51,25 +56,25 @@ let test_solvable_in () =
   let h = Mat.identity 2 in
   let lj = Subspace.span_dims ~dim:2 [ 1 ] in
   Alcotest.(check bool) "solvable within localized loop" true
-    (Subspace.solvable_in h (v [ 0; 2 ]) lj);
+    (solvable_in h (v [ 0; 2 ]) lj);
   Alcotest.(check bool) "not solvable across the other loop" false
-    (Subspace.solvable_in h (v [ 2; 0 ]) lj);
-  (match Subspace.solution_in h (v [ 0; 2 ]) lj with
+    (solvable_in h (v [ 2; 0 ]) lj);
+  (match solution_in h (v [ 0; 2 ]) lj with
   | Some x -> Alcotest.(check bool) "witness" true (Vec.equal x (v [ 0; 2 ]))
   | None -> Alcotest.fail "expected witness");
   (* zero difference always solvable, even in the trivial space *)
   Alcotest.(check bool) "zero diff" true
-    (Subspace.solvable_in h (v [ 0; 0 ]) (Subspace.trivial 2));
+    (solvable_in h (v [ 0; 0 ]) (Subspace.trivial 2));
   (* integrality: 2x = 1 unsolvable over integers *)
   Alcotest.(check bool) "non-integral rejected" false
-    (Subspace.solvable_in (Mat.of_rows_list [ [ 2 ] ]) (v [ 1 ]) (Subspace.full 1));
+    (solvable_in (Mat.of_rows_list [ [ 2 ] ]) (v [ 1 ]) (Subspace.full 1));
   (* coupled subscript: H = [1 1], difference 3, localized span (1,-1)
      cannot reach it but the full space can *)
   let hc = Mat.of_rows_list [ [ 1; 1 ] ] in
   Alcotest.(check bool) "coupled reachable in full space" true
-    (Subspace.solvable_in hc (v [ 3 ]) (Subspace.full 2));
+    (solvable_in hc (v [ 3 ]) (Subspace.full 2));
   Alcotest.(check bool) "kernel direction cannot change the value" false
-    (Subspace.solvable_in hc (v [ 3 ]) (Subspace.of_basis ~dim:2 [ v [ 1; -1 ] ]))
+    (solvable_in hc (v [ 3 ]) (Subspace.of_basis ~dim:2 [ v [ 1; -1 ] ]))
 
 let sub_gen =
   QCheck2.Gen.(
@@ -82,14 +87,14 @@ let prop_intersect_subset =
     QCheck2.Gen.(pair sub_gen sub_gen)
     (fun (a, b) ->
       let i = Subspace.intersect a b in
-      Subspace.subset i a && Subspace.subset i b)
+      Solve_reference.subset i a && Solve_reference.subset i b)
 
 let prop_join_contains =
   QCheck2.Test.make ~name:"subspace: join contains both" ~count:200
     QCheck2.Gen.(pair sub_gen sub_gen)
     (fun (a, b) ->
       let j = Subspace.join a b in
-      Subspace.subset a j && Subspace.subset b j)
+      Solve_reference.subset a j && Solve_reference.subset b j)
 
 let prop_dim_formula =
   QCheck2.Test.make ~name:"subspace: dim(a)+dim(b) = dim(a∩b)+dim(a+b)" ~count:200
@@ -107,8 +112,8 @@ let prop_solution_in_sound =
         (Gen.vec_gen ~dim:2 ~lo:(-4) ~hi:4)
         sub_gen)
     (fun (h, c, l) ->
-      match Subspace.solution_in h c l with
-      | Some x -> Vec.equal (Mat.apply h x) c && Subspace.mem x l
+      match solution_in h c l with
+      | Some x -> Vec.equal (Mat.apply h x) c && Solve_reference.mem x l
       | None -> true)
 
 (* The solve before [Subspace.prepare]: per call, the basis matrix [B],
@@ -202,7 +207,18 @@ let print_case (h, l, cs) =
     (Format.asprintf "%a" Subspace.pp l)
     (String.concat "; " (List.map Vec.to_string cs))
 
-let rats_equal = Option.equal (fun a b -> Array.length a = Array.length b && Array.for_all2 Rat.equal a b)
+(* What a rational witness says of [c]: none, fractional, or integral. *)
+let outcome_of_rat = function
+  | None -> Subspace.No_solution
+  | Some x when Array.for_all Rat.is_integer x ->
+      Subspace.Integral (Vec.make (Array.map Rat.to_int_exn x))
+  | Some _ -> Subspace.Fractional
+
+let outcome_equal (a : Subspace.outcome) (b : Subspace.outcome) =
+  match (a, b) with
+  | Subspace.Integral x, Subspace.Integral y -> Vec.equal x y
+  | Subspace.No_solution, Subspace.No_solution | Subspace.Fractional, Subspace.Fractional -> true
+  | _ -> false
 
 let prop_prepared_matches_reference =
   QCheck2.Test.make ~name:"subspace: prepared solve = full-RREF reference" ~count:500
@@ -211,8 +227,10 @@ let prop_prepared_matches_reference =
       List.for_all
         (fun c ->
           Option.equal Vec.equal (Subspace.solve p c) (Reference.solution_in h c l)
-          && rats_equal (Subspace.solve_rat p c) (Reference.witness_rat h c l)
-          && Option.equal Vec.equal (Subspace.solution_in h c l) (Reference.solution_in h c l))
+          && outcome_equal
+               (Subspace.outcome p (Vec.to_array c))
+               (outcome_of_rat (Reference.witness_rat h c l))
+          && Option.equal Vec.equal (solution_in h c l) (Reference.solution_in h c l))
         cs)
 
 let prop_prepared_rat_matches_mat =
@@ -225,7 +243,10 @@ let prop_prepared_rat_matches_mat =
       return (h, l, cs))
     (fun (h, l, cs) ->
       let p = Subspace.prepare h l in
-      List.for_all (fun c -> rats_equal (Subspace.solve_rat p c) (Mat.solve_rat h c)) cs)
+      List.for_all
+        (fun c ->
+          outcome_equal (Subspace.outcome p (Vec.to_array c)) (outcome_of_rat (Mat.solve_rat h c)))
+        cs)
 
 let suite =
   [ Alcotest.test_case "construction" `Quick test_construction;
@@ -257,3 +278,127 @@ let prop_span_dims_canonical =
         (Subspace.of_basis ~dim (List.map (Vec.unit dim) ds)))
 
 let suite = suite @ [ Gen.to_alcotest prop_span_dims_canonical ]
+
+(* --- the integer apply against the rational solve it replaced ---------- *)
+
+(* Right-hand sides of every kind: zero, [H x] for an integral [x] in
+   [L] (integral), a unit or doubled unit vector (often a fractional
+   witness, or inconsistent) and random ones. *)
+let any_rhs_gen h l =
+  QCheck2.Gen.(
+    let m = Mat.rows h in
+    oneof
+      [ rhs_gen h l;
+        map2 (fun i k -> Vec.scale k (Vec.unit m i)) (int_range 0 (m - 1)) (int_range 1 2) ])
+
+let integer_case_gen =
+  QCheck2.Gen.(
+    let* h = matrix_gen in
+    let* l = subspace_gen (Mat.cols h) in
+    let* cs =
+      list_size (int_range 1 6)
+        (pair (any_rhs_gen h l) (Gen.vec_gen ~dim:(Mat.rows h) ~lo:(-3) ~hi:3))
+    in
+    return (h, l, cs))
+
+let kind = function Subspace.No_solution -> 0 | Subspace.Fractional -> 1 | Subspace.Integral _ -> 2
+
+(* [c] read as [c1 - c2] for [c1 = c + c2]. *)
+let prop_integer_solve_matches_rat =
+  QCheck2.Test.make ~name:"subspace: integer solve and outcome = Rat reference" ~count:1000
+    ~print:(fun (h, l, cs) -> print_case (h, l, List.map fst cs))
+    integer_case_gen
+    (fun (h, l, cs) ->
+      let p = Subspace.prepare h l and r = Solve_reference.prepare h l in
+      List.for_all
+        (fun (c, c2) ->
+          let c1 = Vec.to_array (Vec.add c c2) in
+          let diff truncate = Subspace.solvable_diff p ~truncate c1 (Vec.to_array c2) in
+          Option.equal Vec.equal (Subspace.solve p c) (Solve_reference.solve r c)
+          && outcome_equal (Subspace.outcome p (Vec.to_array c)) (Solve_reference.outcome r c)
+          && diff false = Option.is_some (Solve_reference.solve r c)
+          && diff true = Option.is_some (Solve_reference.solve r (Vec.set c 0 0)))
+        cs)
+
+(* The generator reaches every outcome, so the property above compares
+   all three. *)
+let test_integer_cases_cover_outcomes () =
+  let counts = Array.make 3 0 in
+  List.iter
+    (fun (h, l, cs) ->
+      let r = Solve_reference.prepare h l in
+      List.iter
+        (fun (c, _) ->
+          let k = kind (Solve_reference.outcome r c) in
+          counts.(k) <- counts.(k) + 1)
+        cs)
+    (QCheck2.Gen.generate ~rand:(Random.State.make [| 29 |]) ~n:400 integer_case_gen);
+  let total = Array.fold_left ( + ) 0 counts in
+  Array.iteri
+    (fun k n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "outcome %d in at least 5%% of %d cases (%d)" k total n)
+        true (20 * n >= total))
+    counts
+
+(* Row 0 of [H^-1] is [(1/a, -1/(ab))]: its scale is the product of two
+   primes past [max_int], so the scaling raises instead of wrapping, at
+   the first non-zero solve. *)
+let test_scale_overflow_raises () =
+  let a = 2147483647 and b = 4294967291 in
+  let p = Subspace.prepare (Mat.of_rows_list [ [ a; 1 ]; [ 0; b ] ]) (Subspace.full 2) in
+  Alcotest.(check bool) "zero solves without factoring" true
+    (Subspace.solve p (v [ 0; 0 ]) <> None);
+  Alcotest.check_raises "overflow" (Invalid_argument "Subspace.factor: integer overflow") (fun () ->
+      ignore (Subspace.solve p (v [ a; b ])))
+
+let suite =
+  suite
+  @ [ Gen.to_alcotest prop_integer_solve_matches_rat;
+      Alcotest.test_case "integer cases cover every outcome" `Quick
+        test_integer_cases_cover_outcomes;
+      Alcotest.test_case "scale overflow raises" `Quick test_scale_overflow_raises ]
+
+(* [of_basis] of vectors along coordinate axes (any non-zero multiple,
+   repeats and zero vectors allowed) is the canonical row space the
+   elimination finds. *)
+let prop_axis_basis_is_row_space =
+  QCheck2.Test.make ~name:"subspace: of_basis of axis vectors = Mat.row_space" ~count:300
+    QCheck2.Gen.(
+      let* dim = int_range 1 4 in
+      let* axes = list_size (int_range 1 5) (pair (int_range 0 (dim - 1)) (int_range (-3) 3)) in
+      return (dim, List.map (fun (i, k) -> Vec.scale k (Vec.unit dim i)) axes))
+    (fun (dim, vs) ->
+      let nonzero = List.filter (fun x -> not (Vec.is_zero x)) vs in
+      let expected =
+        if nonzero = [] then []
+        else Mat.row_space (Mat.of_rows (Array.of_list (List.map Vec.to_array nonzero)))
+      in
+      List.equal Vec.equal (Subspace.basis (Subspace.of_basis ~dim vs)) expected)
+
+let suite = suite @ [ Gen.to_alcotest prop_axis_basis_is_row_space ]
+
+(* Each row keeps its own scale, and a right-hand side past the bound
+   that keeps the dot products from wrapping is applied in checked
+   arithmetic: the answer is the Rat reference's, or [Invalid_argument]
+   where the difference itself passes [max_int]. *)
+let test_large_rhs_exact_or_raises () =
+  let a = 2147483647 and b = 2147483629 in
+  let h = Mat.of_rows_list [ [ a; 0 ]; [ 0; b ] ] and full = Subspace.full 2 in
+  let p = Subspace.prepare h full and r = Solve_reference.prepare h full in
+  let c = v [ 2 * a; 0 ] in
+  let witness = Alcotest.(option (testable Vec.pp Vec.equal)) in
+  Alcotest.check witness "diag(a, b), c = (2a, 0)" (Solve_reference.solve r c) (Subspace.solve p c);
+  Alcotest.check witness "integral (2, 0)" (Some (v [ 2; 0 ])) (Subspace.solve p c);
+  let one = Subspace.prepare (Mat.of_rows_list [ [ 1 ] ]) (Subspace.full 1) in
+  Alcotest.check witness "max_int solved in checked arithmetic" (Some (v [ max_int ]))
+    (Subspace.solve one (v [ max_int ]));
+  let two = Subspace.prepare (Mat.of_rows_list [ [ 2 ] ]) (Subspace.full 1) in
+  Alcotest.check_raises "difference past max_int"
+    (Invalid_argument "Subspace.factor: integer overflow") (fun () ->
+      ignore (Subspace.solvable_diff two ~truncate:false [| max_int |] [| -1 |]))
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "large right-hand side exact or raises" `Quick
+        test_large_rhs_exact_or_raises ]
