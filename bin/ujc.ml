@@ -10,6 +10,19 @@ open Ujam_core
 open Ujam_engine
 module Json = Ujam_obs.Json
 module Obs = Ujam_obs.Obs
+module Native = Ujam_native.Native
+module Locality = Ujam_reuse.Locality
+module Nest = Ujam_ir.Nest
+module Graph = Ujam_depend.Graph
+module Interp = Ujam_sim.Interp
+module Machine = Ujam_machine.Machine
+module Stats = Ujam_depend.Stats
+module Catalogue = Ujam_kernels.Catalogue
+module Runner = Ujam_sim.Runner
+module Emit = Ujam_native.Emit
+module Unroll = Ujam_ir.Unroll
+module Ugs = Ujam_reuse.Ugs
+module Presets = Ujam_machine.Presets
 
 (* Converters over the one options schema ({!Options}): the lookup and
    the range check are the daemon's; only the wording is the CLI's. *)
@@ -28,17 +41,17 @@ let options_conv parse check print =
 let int_conv check = options_conv (Arg.conv_parser Arg.int) check Format.pp_print_int
 
 let machine_conv =
-  options_conv Result.ok Options.machine (fun ppf (m : Ujam_machine.Machine.t) ->
-      Format.pp_print_string ppf m.Ujam_machine.Machine.name)
+  options_conv Result.ok Options.machine (fun ppf (m : Machine.t) ->
+      Format.pp_print_string ppf m.Machine.name)
 
 let machine_arg =
   Arg.(
     value
-    & opt machine_conv Ujam_machine.Presets.alpha
+    & opt machine_conv Presets.alpha
     & info [ "m"; "machine" ] ~docv:"MACHINE"
         ~doc:
           (Printf.sprintf "Target machine (%s)."
-             (String.concat ", " Ujam_machine.Presets.names)))
+             (String.concat ", " Presets.names)))
 
 let size_arg =
   Arg.(value & opt (some int) None & info [ "n"; "size" ] ~docv:"N" ~doc:"Problem size.")
@@ -114,28 +127,13 @@ let model_term ?(level = Term.const None) () =
   in
   Term.(const pick $ cache_arg $ level $ model_arg)
 
-(* A Table-2 kernel by name, else an extra kernel wrapped as an entry. *)
-let find_kernel s =
-  match Ujam_kernels.Catalogue.find s with
-  | Some e -> Some e
-  | None ->
-      Option.map
-        (fun build ->
-          { Ujam_kernels.Catalogue.num = 0; name = s;
-            description = "extra kernel";
-            build = (fun ?n () -> build ?n ()) })
-        (List.assoc_opt s Ujam_kernels.Extras.all)
-
 let kernel_conv =
   let parse s =
-    match find_kernel s with
-    | Some e -> Ok e
+    match Catalogue.find s with
+    | Some _ -> Ok s
     | None -> Error (`Msg (Printf.sprintf "unknown kernel %S; see `ujc list'" s))
   in
-  let print ppf (e : Ujam_kernels.Catalogue.entry) =
-    Format.pp_print_string ppf e.Ujam_kernels.Catalogue.name
-  in
-  Arg.conv (parse, print)
+  Arg.conv (parse, Format.pp_print_string)
 
 let kernel_arg =
   Arg.(
@@ -143,14 +141,40 @@ let kernel_arg =
     & pos 0 (some kernel_conv) None
     & info [] ~docv:"KERNEL" ~doc:"Kernel name from Table 2 (see `ujc list').")
 
-let build (e : Ujam_kernels.Catalogue.entry) n =
-  match n with
-  | Some n -> e.Ujam_kernels.Catalogue.build ~n ()
-  | None -> e.Ujam_kernels.Catalogue.build ()
+(* A usage error ends the command with exit 2, a typed error with exit 1. *)
+let usage fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; exit 2) fmt
+
+let fail e =
+  Format.eprintf "@[<v>%a@]@." Error.pp e;
+  exit 1
+
+(* Every nest the CLI reads comes through the engine's loader. *)
+let load ?name source =
+  match Load.nest ?name source with Ok nest -> nest | Error e -> fail e
+
+let kernel k n = load (Load.Kernel (k, n))
+
+(* The front door of every command that analyses a nest: refuse a nest
+   outside the supported class with its located UJ004/UJ005/UJ031
+   diagnostics, then run the command's pipeline under the guard, so an
+   invariant exit deeper down is a typed error too. *)
+let gated ~stage nest f =
+  let routine = Nest.name nest in
+  match
+    Result.bind (Error.check_supported ~routine nest) (fun () ->
+        Error.guard ~stage ~routine (fun () -> f nest))
+  with
+  | Ok () -> ()
+  | Error e -> fail e
+
+let plural n word = Printf.sprintf "%d %s%s" n word (if n = 1 then "" else "s")
+
+(* The CLI's one call into the paper's pipeline. *)
+let optimize ~machine ~bound ~cache nest = Driver.optimize ~bound ~cache ~machine nest
 
 let list_cmd =
   let run () =
-    Format.printf "%a@." Ujam_kernels.Catalogue.pp_table ();
+    Format.printf "%a@." Catalogue.pp_table ();
     Format.printf "extras: %s@."
       (String.concat ", " (List.map fst Ujam_kernels.Extras.all))
   in
@@ -158,90 +182,74 @@ let list_cmd =
     Term.(const run $ const ())
 
 let show_cmd =
-  let run e n = Format.printf "%a@." Ujam_ir.Nest.pp (build e n) in
+  let run k n = Format.printf "%a@." Nest.pp (kernel k n) in
   Cmd.v (Cmd.info "show" ~doc:"Print a kernel as Fortran-style source.")
     Term.(const run $ kernel_arg $ size_arg)
 
 let analyze_cmd =
-  let run e n (machine : Ujam_machine.Machine.t) json =
-    let nest = build e n in
-    let ctx = Analysis_ctx.create ~machine nest in
-    let d = Ujam_ir.Nest.depth nest in
-    let localized = Subspace.span_dims ~dim:d [ d - 1 ] in
-    let line = machine.Ujam_machine.Machine.cache_line in
-    let vn = Ujam_ir.Nest.var_name nest in
-    let groups = Analysis_ctx.ugs ctx in
-    let costs =
-      List.map (Ujam_reuse.Locality.ugs_cost ~line ~localized) groups
-    in
-    let with_input = Analysis_ctx.graph_with_input ctx in
-    let without = Analysis_ctx.graph ctx in
-    let stats = Ujam_depend.Stats.of_graph with_input in
-    let ranking = Analysis_ctx.ranked ctx in
-    if json then begin
-      let stream_name = function
-        | Ujam_reuse.Locality.Invariant -> "invariant"
-        | Ujam_reuse.Locality.Unit_stride -> "unit-stride"
-        | Ujam_reuse.Locality.No_reuse -> "no-reuse"
-      in
-      let group_json (c : Ujam_reuse.Locality.ugs_cost) =
-        Json.Obj
-          [ ("base", Json.Str c.Ujam_reuse.Locality.ugs.Ujam_reuse.Ugs.base);
-            ("size",
-             Json.Int
-               (List.length c.Ujam_reuse.Locality.ugs.Ujam_reuse.Ugs.members));
-            ("stream", Json.Str (stream_name c.Ujam_reuse.Locality.stream));
-            ("g_t", Json.Int c.Ujam_reuse.Locality.g_t);
-            ("g_s", Json.Int c.Ujam_reuse.Locality.g_s);
-            ("accesses_per_iter", Json.Float c.Ujam_reuse.Locality.accesses) ]
-      in
-      print_endline
-        (Json.to_string
-           (Json.Obj
-              [ ("kernel", Json.Str (Ujam_ir.Nest.name nest));
-                ("machine", Json.Str machine.Ujam_machine.Machine.name);
-                ("groups", Json.List (List.map group_json costs));
-                ("dependences",
-                 Json.Obj
-                   [ ("flow", Json.Int stats.Ujam_depend.Stats.flow);
-                     ("anti", Json.Int stats.Ujam_depend.Stats.anti);
-                     ("output", Json.Int stats.Ujam_depend.Stats.output);
-                     ("input", Json.Int stats.Ujam_depend.Stats.input);
-                     ("edges_with_input",
-                      Json.Int (List.length with_input.Ujam_depend.Graph.edges));
-                     ("edges_without_input",
-                      Json.Int (List.length without.Ujam_depend.Graph.edges)) ]);
-                ("ranking",
-                 Json.List
-                   (List.map
-                      (fun (l, c) ->
-                        Json.Obj
-                          [ ("level", Json.Int l); ("var", Json.Str (vn l));
-                            ("accesses_per_iter", Json.Float c) ])
-                      ranking)) ]))
-    end
-    else begin
-      Format.printf "%a@.@." Ujam_ir.Nest.pp nest;
-      List.iter
-        (fun (cost : Ujam_reuse.Locality.ugs_cost) ->
-          Format.printf "%a@,  stream: %a, g_T=%d, g_S=%d, accesses/iter=%.3f@."
-            (Ujam_reuse.Ugs.pp ~var_name:vn) cost.Ujam_reuse.Locality.ugs
-            Ujam_reuse.Locality.pp_stream cost.Ujam_reuse.Locality.stream
-            cost.Ujam_reuse.Locality.g_t cost.Ujam_reuse.Locality.g_s
-            cost.Ujam_reuse.Locality.accesses)
-        costs;
-      Format.printf "@.dependences (with input): %a@." Ujam_depend.Stats.pp stats;
-      Format.printf "dependence graph: %d edges with input, %d without (%.0f%% saved)@."
-        (List.length with_input.Ujam_depend.Graph.edges)
-        (List.length without.Ujam_depend.Graph.edges)
-        (100.0
-        *. (1.0
-           -. (float_of_int (List.length without.Ujam_depend.Graph.edges)
-              /. float_of_int (max 1 (List.length with_input.Ujam_depend.Graph.edges)))));
-      Format.printf "locality ranking (level, accesses/iter): %s@."
-        (String.concat ", "
-           (List.map (fun (l, c) -> Printf.sprintf "%s:%.3f" (vn l) c) ranking))
-    end
+  let run k n (machine : Machine.t) json =
+    gated ~stage:Error.Graph (kernel k n) (fun nest ->
+        let ctx = Analysis_ctx.create ~machine nest in
+        let d = Nest.depth nest in
+        let localized = Subspace.span_dims ~dim:d [ d - 1 ] in
+        let line = machine.Machine.cache_line in
+        let vn = Nest.var_name nest in
+        let costs = List.map (Locality.ugs_cost ~line ~localized) (Analysis_ctx.ugs ctx) in
+        let with_input = List.length (Analysis_ctx.graph_with_input ctx).Graph.edges in
+        let without = List.length (Analysis_ctx.graph ctx).Graph.edges in
+        let stats = Stats.of_graph (Analysis_ctx.graph_with_input ctx) in
+        let ranking = Analysis_ctx.ranked ctx in
+        if json then begin
+          let stream_name = function
+            | Locality.Invariant -> "invariant"
+            | Locality.Unit_stride -> "unit-stride"
+            | Locality.No_reuse -> "no-reuse"
+          in
+          let group_json { Locality.ugs; stream; g_t; g_s; accesses; _ } =
+            Json.Obj
+              [ ("base", Json.Str ugs.Ugs.base);
+                ("size", Json.Int (List.length ugs.Ugs.members));
+                ("stream", Json.Str (stream_name stream));
+                ("g_t", Json.Int g_t);
+                ("g_s", Json.Int g_s);
+                ("accesses_per_iter", Json.Float accesses) ]
+          in
+          let rank_json (l, c) =
+            Json.Obj
+              [ ("level", Json.Int l); ("var", Json.Str (vn l));
+                ("accesses_per_iter", Json.Float c) ]
+          in
+          print_endline
+            (Json.to_string
+               (Json.Obj
+                  [ ("kernel", Json.Str (Nest.name nest));
+                    ("machine", Json.Str machine.Machine.name);
+                    ("groups", Json.List (List.map group_json costs));
+                    ( "dependences",
+                      Json.Obj
+                        [ ("flow", Json.Int stats.Stats.flow);
+                          ("anti", Json.Int stats.Stats.anti);
+                          ("output", Json.Int stats.Stats.output);
+                          ("input", Json.Int stats.Stats.input);
+                          ("edges_with_input", Json.Int with_input);
+                          ("edges_without_input", Json.Int without) ] );
+                    ("ranking", Json.List (List.map rank_json ranking)) ]))
+        end
+        else begin
+          Format.printf "%a@.@." Nest.pp nest;
+          List.iter
+            (fun { Locality.ugs; stream; g_t; g_s; accesses; _ } ->
+              Format.printf "%a@,  stream: %a, g_T=%d, g_S=%d, accesses/iter=%.3f@."
+                (Ugs.pp ~var_name:vn) ugs Locality.pp_stream stream g_t g_s accesses)
+            costs;
+          Format.printf "@.dependences (with input): %a@." Stats.pp stats;
+          Format.printf "dependence graph: %d edges with input, %d without (%.0f%% saved)@."
+            with_input without
+            (100.0 *. (1.0 -. (float_of_int without /. float_of_int (max 1 with_input))));
+          Format.printf "locality ranking (level, accesses/iter): %s@."
+            (String.concat ", "
+               (List.map (fun (l, c) -> Printf.sprintf "%s:%.3f" (vn l) c) ranking))
+        end)
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Reuse and dependence analysis of a kernel.")
@@ -286,47 +294,34 @@ let optimize_cmd =
       else
         match Ujam_native.Toolchain.find () with
         | Ok tc -> Some tc
-        | Error msg ->
-            Format.eprintf
-              "ujc optimize: --native-check needs a native toolchain: %s@." msg;
-            exit 2
+        | Error msg -> usage "ujc optimize: --native-check needs a native toolchain: %s" msg
     in
-    if native_check && json then begin
-      Format.eprintf "ujc optimize: --native-check has no --json form yet@.";
-      exit 2
-    end;
+    if native_check && json then usage "ujc optimize: --native-check has no --json form yet";
     let run_native_check tc r =
-      match Ujam_native.Native.check_choice tc r with
+      match Native.check_choice tc r with
       | Error err ->
-          Format.eprintf "native check: %a@." Ujam_engine.Error.pp err;
+          Format.eprintf "native check: %a@." Error.pp err;
           exit 1
       | Ok c ->
-          Format.printf "native check: u = %a%s %s (max rel err %.3g)@."
-            Vec.pp c.Ujam_native.Native.u
-            (if c.Ujam_native.Native.clamped then " (clamped to divisible)"
-             else "")
-            (if c.Ujam_native.Native.equivalent then
-               "matches the interpreter"
+          Format.printf "native check: u = %a%s %s (max rel err %.3g)@." Vec.pp
+            c.Native.u
+            (if c.Native.clamped then " (clamped to divisible)" else "")
+            (if c.Native.equivalent then "matches the interpreter"
              else "DIVERGES from the interpreter")
-            c.Ujam_native.Native.max_rel_err;
+            c.Native.max_rel_err;
           Format.printf
             "native timing: original %.3e s, transformed %.3e s, measured \
              speedup %.2fx@."
-            c.Ujam_native.Native.seconds_original
-            c.Ujam_native.Native.seconds_transformed
-            c.Ujam_native.Native.measured_speedup;
-          if c.Ujam_native.Native.measured_speedup < 1.0 then
+            c.Native.seconds_original c.Native.seconds_transformed
+            c.Native.measured_speedup;
+          if c.Native.measured_speedup < 1.0 then
             Format.printf
               "native timing: warning: chosen vector did not beat (1,...,1) \
                on this host@.";
-          if not c.Ujam_native.Native.equivalent then exit 1
+          if not c.Native.equivalent then exit 1
     in
     if all then begin
-      if native_check then begin
-        Format.eprintf
-          "ujc optimize: --native-check works on a single kernel, not --all@.";
-        exit 2
-      end;
+      if native_check then usage "ujc optimize: --native-check works on a single kernel, not --all";
       let report =
         Engine.run_corpus ~domains ~bound ~model ~seq ~machine
           (Engine.routines_of_catalogue ?n ())
@@ -336,49 +331,40 @@ let optimize_cmd =
     end
     else
       match e_opt with
-      | None ->
-          Format.eprintf "ujc optimize: missing KERNEL argument (or pass --all)@.";
-          exit 2
-      | Some e -> (
-          let nest = build e n in
-          let mname = Model.name model in
-          if json then
-            let outcome =
-              Engine.analyze ~bound ~model ~seq ~machine
-                ~routine:e.Ujam_kernels.Catalogue.name nest
-            in
-            print_endline
-              (Json.to_string
-                 (Json.Obj
-                    [ ("kernel", Json.Str e.Ujam_kernels.Catalogue.name);
-                      ("machine",
-                       Json.Str machine.Ujam_machine.Machine.name);
-                      ("result", Engine.nest_outcome_to_json outcome) ]))
-          else
-            match mname with
-            | ("ugs" | "no-cache") when not seq ->
-                let r =
-                  Driver.optimize ~bound ~cache:(mname = "ugs") ~machine nest
-                in
-                Format.printf "%a@.@." Driver.pp r;
-                Format.printf "--- transformed ---@.%a@.@." Ujam_ir.Nest.pp
-                  r.Driver.transformed;
-                Format.printf "--- after scalar replacement ---@.%a@."
-                  Ujam_ir.Nest.pp
-                  (Scalar_replace.apply r.Driver.transformed r.Driver.plan);
-                Option.iter (fun tc -> run_native_check tc r) tc_opt
-            | _ ->
-                if native_check then begin
-                  Format.eprintf
-                    "ujc optimize: --native-check needs the ugs or no-cache \
-                     model without --seq@.";
-                  exit 2
-                end;
+      | None -> usage "ujc optimize: missing KERNEL argument (or pass --all)"
+      | Some k ->
+          gated ~stage:Error.Search (kernel k n) (fun nest ->
+              let mname = Model.name model in
+              if json then
                 let outcome =
-                  Engine.analyze ~bound ~model ~seq ~machine
-                    ~routine:e.Ujam_kernels.Catalogue.name nest
+                  Engine.analyze ~bound ~model ~seq ~machine ~routine:k nest
                 in
-                Format.printf "%a@." Engine.pp_nest_outcome outcome)
+                print_endline
+                  (Json.to_string
+                     (Json.Obj
+                        [ ("kernel", Json.Str k);
+                          ("machine", Json.Str machine.Machine.name);
+                          ("result", Engine.nest_outcome_to_json outcome) ]))
+              else
+                match mname with
+                | ("ugs" | "no-cache") when not seq ->
+                    let r = optimize ~machine ~bound ~cache:(mname = "ugs") nest in
+                    Format.printf "%a@.@." Driver.pp r;
+                    Format.printf "--- transformed ---@.%a@.@." Nest.pp
+                      r.Driver.transformed;
+                    Format.printf "--- after scalar replacement ---@.%a@."
+                      Nest.pp
+                      (Scalar_replace.apply r.Driver.transformed r.Driver.plan);
+                    Option.iter (fun tc -> run_native_check tc r) tc_opt
+                | _ ->
+                    if native_check then
+                      usage
+                        "ujc optimize: --native-check needs the ugs or no-cache model \
+                         without --seq";
+                    let outcome =
+                      Engine.analyze ~bound ~model ~seq ~machine ~routine:k nest
+                    in
+                    Format.printf "%a@." Engine.pp_nest_outcome outcome)
   in
   Cmd.v
     (Cmd.info "optimize"
@@ -388,17 +374,19 @@ let optimize_cmd =
           $ timings_arg $ seq_arg $ check_arg $ native_check_flag)
 
 let simulate_cmd =
-  let run e n machine bound no_cache =
-    let nest = build e n in
-    let r = Driver.optimize ~bound ~cache:(not no_cache) ~machine nest in
-    let s0 = Ujam_sim.Runner.run ~machine nest in
-    let s1 = Ujam_sim.Runner.run ~machine ~plan:r.Driver.plan r.Driver.transformed in
-    Format.printf "machine: %a@." Ujam_machine.Machine.pp machine;
-    Format.printf "original:    %a@." Ujam_sim.Runner.pp s0;
-    Format.printf "transformed: %a (u = %a)@." Ujam_sim.Runner.pp s1 Vec.pp
-      r.Driver.choice.Search.u;
-    Format.printf "normalized execution time: %.3f@."
-      (Ujam_sim.Runner.normalized ~baseline:s0 s1)
+  let run k n machine bound no_cache =
+    gated ~stage:Error.Sim (kernel k n) (fun nest ->
+        let r = optimize ~machine ~bound ~cache:(not no_cache) nest in
+        let s0 = Runner.run ~machine nest in
+        let s1 =
+          Runner.run ~machine ~plan:r.Driver.plan r.Driver.transformed
+        in
+        Format.printf "machine: %a@." Machine.pp machine;
+        Format.printf "original:    %a@." Runner.pp s0;
+        Format.printf "transformed: %a (u = %a)@." Runner.pp s1 Vec.pp
+          r.Driver.choice.Search.u;
+        Format.printf "normalized execution time: %.3f@."
+          (Runner.normalized ~baseline:s0 s1))
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Simulate a kernel before and after optimization.")
@@ -410,33 +398,26 @@ let file_arg =
     & pos 0 (some file) None
     & info [] ~docv:"FILE" ~doc:"Loop nest in the Fortran-style syntax (see `ujc show').")
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* A loop-nest file when [s] names one, else a kernel by name; an
    unknown name is a usage error. *)
 let resolve_target s n =
   if Sys.file_exists s && not (Sys.is_directory s) then
-    Ujam_ir.Parse.nest
-      ~name:(Filename.remove_extension (Filename.basename s))
-      (read_file s)
-  else
-    match find_kernel s with
-    | Some e -> Ok (build e n)
-    | None ->
-        Format.eprintf "ujc: unknown kernel or file %S; see `ujc list'@." s;
-        exit 2
+    match read_file s with
+    | text ->
+        Load.nest ~name:(Filename.remove_extension (Filename.basename s)) (Load.Inline text)
+    | exception Sys_error msg -> usage "ujc: %s" msg
+  else if Option.is_some (Catalogue.find s) then Load.nest (Load.Kernel (s, n))
+  else usage "ujc: unknown kernel or file %S; see `ujc list'" s
 
 let require_target s n =
-  match resolve_target s n with
-  | Ok nest -> nest
-  | Error e ->
-      Format.eprintf "%s: %a@." s Ujam_ir.Parse.pp_error e;
-      exit 1
+  match resolve_target s n with Ok nest -> nest | Error e -> fail e
+
+(* The --help note of the gated commands that read a loop-nest file. *)
+let refuses doc =
+  doc
+  ^ "  A nest outside the supported class (a non-unit step, a subscript     coefficient beyond 2, a subscript constant or loop bound beyond     2^20) is refused: its located UJ004/UJ005/UJ031 errors print and     the exit status is 1."
 
 let target_req =
   Arg.(
@@ -446,64 +427,67 @@ let target_req =
 
 let tables_cmd =
   let run target n bound =
-    let nest = require_target target n in
-    let d = Ujam_ir.Nest.depth nest in
-    let bounds = Array.make d bound in
-    bounds.(d - 1) <- 0;
-    (* The tables are machine-independent; any preset prepares them. *)
-    let b =
-      Balance.prepare ~machine:Ujam_machine.Presets.alpha
-        (Unroll_space.make ~bounds) nest
-    in
-    Format.printf "u          V_M  R    g_T  g_S@.";
-    Unroll_space.iter (Balance.space b) (fun u ->
-        let gt, gs =
-          List.fold_left
-            (fun (gt, gs) (_, t, s) -> (gt + t, gs + s))
-            (0, 0) (Balance.group_counts b u)
+    gated ~stage:Error.Tables (require_target target n) (fun nest ->
+        let d = Nest.depth nest in
+        let bounds = Array.make d bound in
+        bounds.(d - 1) <- 0;
+        (* The tables are machine-independent; any preset prepares them. *)
+        let b =
+          Balance.prepare ~machine:Presets.alpha
+            (Unroll_space.make ~bounds) nest
         in
-        Format.printf "%-10s %-4d %-4d %-4d %-4d@." (Vec.to_string u)
-          (Balance.memory_ops b u) (Balance.registers b u) gt gs)
+        Format.printf "u          V_M  R    g_T  g_S@.";
+        Unroll_space.iter (Balance.space b) (fun u ->
+            let gt, gs =
+              List.fold_left
+                (fun (gt, gs) (_, t, s) -> (gt + t, gs + s))
+                (0, 0) (Balance.group_counts b u)
+            in
+            Format.printf "%-10s %-4d %-4d %-4d %-4d@." (Vec.to_string u)
+              (Balance.memory_ops b u) (Balance.registers b u) gt gs))
   in
   Cmd.v
-    (Cmd.info "tables" ~doc:"Print the precomputed unroll tables of a kernel or loop-nest file.")
+    (Cmd.info "tables"
+       ~doc:(refuses "Print the precomputed unroll tables of a kernel or loop-nest file."))
     Term.(const run $ target_req $ size_arg $ bound_arg 8)
 
 let compile_cmd =
   let run path machine bound no_cache permute =
-    let nest = require_target path None in
-    let nest, perm_note =
-      if permute then begin
-        let c = Permute.best_legal ~machine nest in
-        ( c.Permute.permuted,
-          Printf.sprintf "permutation [%s], Eq.1 cost %.3f -> %.3f"
-            (String.concat ";"
-               (Array.to_list (Array.map string_of_int c.Permute.permutation)))
-            c.Permute.original_cost c.Permute.cost )
-      end
-      else (nest, "")
-    in
-    let r = Driver.optimize ~bound ~cache:(not no_cache) ~machine nest in
-    if perm_note <> "" then Format.printf "%s@." perm_note;
-    Format.printf "%a@.@." Driver.pp r;
-    Format.printf "%a@." Ujam_ir.Nest.pp
-      (Scalar_replace.apply r.Driver.transformed r.Driver.plan)
+    gated ~stage:Error.Search (require_target path None) (fun nest ->
+        let nest, perm_note =
+          if permute then begin
+            let c = Permute.best_legal ~machine nest in
+            ( c.Permute.permuted,
+              Printf.sprintf "permutation [%s], Eq.1 cost %.3f -> %.3f"
+                (String.concat ";"
+                   (Array.to_list (Array.map string_of_int c.Permute.permutation)))
+                c.Permute.original_cost c.Permute.cost )
+          end
+          else (nest, "")
+        in
+        let r = optimize ~machine ~bound ~cache:(not no_cache) nest in
+        if perm_note <> "" then Format.printf "%s@." perm_note;
+        Format.printf "%a@.@." Driver.pp r;
+        Format.printf "%a@." Nest.pp
+          (Scalar_replace.apply r.Driver.transformed r.Driver.plan))
   in
   let permute_flag =
     Arg.(value & flag & info [ "permute" ] ~doc:"Run the loop-permutation pre-pass.")
   in
   Cmd.v
     (Cmd.info "compile"
-       ~doc:"Optimize a loop nest read from a file (parse, permute,              unroll-and-jam, scalar replace).")
+       ~doc:
+         (refuses
+            "Optimize a loop nest read from a file (parse, permute,              unroll-and-jam, scalar replace)."))
     Term.(const run $ file_arg $ machine_arg $ bound_arg 8 $ cache_arg
           $ permute_flag)
 
 let graph_cmd =
-  let run e n no_input =
-    let nest = build e n in
-    let g = Ujam_depend.Graph.build ~include_input:(not no_input) nest in
-    Format.printf "%a@." Ujam_depend.Graph.pp g;
-    Format.printf "%a@." Ujam_depend.Stats.pp (Ujam_depend.Stats.of_graph g)
+  let run k n no_input =
+    gated ~stage:Error.Graph (kernel k n) (fun nest ->
+        let g = Graph.build ~include_input:(not no_input) nest in
+        Format.printf "%a@." Graph.pp g;
+        Format.printf "%a@." Stats.pp (Stats.of_graph g))
   in
   Cmd.v
     (Cmd.info "graph"
@@ -511,29 +495,29 @@ let graph_cmd =
     Term.(const run $ kernel_arg $ size_arg $ input_flag)
 
 let verify_cmd =
-  let run e n machine bound no_cache =
-    let nest = build e n in
-    let r = Driver.optimize ~bound ~cache:(not no_cache) ~machine nest in
-    (* Clamp the chosen unroll amounts to factors dividing the trip
-       counts: the remainder (cleanup) loop is outside the IR's perfect
-       nests, so verification requires exact coverage. *)
-    let u = Ujam_ir.Unroll.clamp_divisible nest r.Driver.choice.Search.u in
-    let t = Ujam_ir.Unroll.unroll_and_jam nest u in
-    let plan = Scalar_replace.plan t in
-    let body = Scalar_replace.apply t plan in
-    let pre = Scalar_replace.preheader t plan in
-    let reference = Ujam_sim.Interp.run nest in
-    let transformed = Ujam_sim.Interp.run ~preheader:(fun _ -> pre) body in
-    let ok = Ujam_sim.Interp.equal reference transformed in
-    Format.printf
-      "%s: search chose u = %a, verified at u = %a@.interpreted checksums: original %.9f, transformed %.9f@.locations written: %d vs %d@.semantics %s@."
-      (Ujam_ir.Nest.name nest) Vec.pp r.Driver.choice.Search.u Vec.pp u
-      (Ujam_sim.Interp.checksum reference)
-      (Ujam_sim.Interp.checksum transformed)
-      (Ujam_sim.Interp.written reference)
-      (Ujam_sim.Interp.written transformed)
-      (if ok then "PRESERVED" else "BROKEN");
-    if not ok then exit 1
+  let run k n machine bound no_cache =
+    gated ~stage:Error.Transform (kernel k n) (fun nest ->
+        let r = optimize ~machine ~bound ~cache:(not no_cache) nest in
+        (* Clamp the chosen unroll amounts to factors dividing the trip
+           counts: the remainder (cleanup) loop is outside the IR's
+           perfect nests, so verification requires exact coverage. *)
+        let u = Unroll.clamp_divisible nest r.Driver.choice.Search.u in
+        let t = Unroll.unroll_and_jam nest u in
+        let plan = Scalar_replace.plan t in
+        let body = Scalar_replace.apply t plan in
+        let pre = Scalar_replace.preheader t plan in
+        let reference = Interp.run nest in
+        let transformed = Interp.run ~preheader:(fun _ -> pre) body in
+        let ok = Interp.equal reference transformed in
+        Format.printf
+          "%s: search chose u = %a, verified at u = %a@.interpreted checksums: original %.9f, transformed %.9f@.locations written: %d vs %d@.semantics %s@."
+          (Nest.name nest) Vec.pp r.Driver.choice.Search.u Vec.pp u
+          (Interp.checksum reference)
+          (Interp.checksum transformed)
+          (Interp.written reference)
+          (Interp.written transformed)
+          (if ok then "PRESERVED" else "BROKEN");
+        if not ok then exit 1)
   in
   Cmd.v
     (Cmd.info "verify"
@@ -723,77 +707,67 @@ let emit_cmd =
   in
   let emit_seed_arg =
     Arg.(
-      value & opt int Ujam_sim.Interp.default_seed
+      value & opt int Interp.default_seed
       & info [ "seed" ] ~docv:"S" ~doc:"Initial-store seed.")
   in
   let run target n machine bound no_cache out run_it transform repeats seed =
-    let nest = require_target target n in
-    let variants =
-      { Ujam_native.Emit.vname = "orig"; nest }
-      ::
-      (if transform then begin
-         let r = Driver.optimize ~bound ~cache:(not no_cache) ~machine nest in
-         let u = Ujam_ir.Unroll.clamp_divisible nest r.Driver.choice.Search.u in
-         [ { Ujam_native.Emit.vname = "u=" ^ Vec.to_string u;
-             nest = Ujam_ir.Unroll.unroll_and_jam nest u } ]
-       end
-       else [])
-    in
-    let spec =
-      { Ujam_native.Emit.uname = Ujam_ir.Nest.name nest;
-        seed;
-        repeats = max 1 repeats;
-        variants }
-    in
-    let text = Ujam_native.Emit.program [ spec ] in
-    (match out with
-    | Some path ->
-        if not (Obs.write_file path text) then exit 1;
-        Format.eprintf "ujc emit: wrote %s (%d variant%s)@." path
-          (List.length variants)
-          (if List.length variants = 1 then "" else "s")
-    | None -> if not run_it then print_string text);
-    if run_it then begin
-      match Ujam_native.Toolchain.find () with
-      | Error msg ->
-          Format.eprintf "ujc emit: --run needs a native toolchain: %s@." msg;
-          exit 2
-      | Ok tc -> (
-          match Ujam_native.Native.run_units tc [ spec ] with
-          | Error msg ->
-              Format.eprintf "ujc emit: %s@." msg;
-              exit 1
-          | Ok results ->
-              let res = List.hd results in
-              List.iter
-                (fun (o : Ujam_native.Native.outcome) ->
-                  Format.printf "%s: %.3e s/run %s@."
-                    o.Ujam_native.Native.vname o.Ujam_native.Native.seconds
-                    (String.concat " "
-                       (List.map
-                          (fun (b, c) -> Printf.sprintf "%s=%.9g" b c)
-                          o.Ujam_native.Native.checksums)))
-                res.Ujam_native.Native.outcomes;
-              let eqs = Ujam_native.Native.equivalences spec res in
-              let bad =
-                List.exists
-                  (fun (e : Ujam_native.Native.equivalence) ->
-                    e.Ujam_native.Native.diffs <> [])
-                  eqs
-              in
-              List.iter
-                (fun (e : Ujam_native.Native.equivalence) ->
-                  Format.printf "equivalence %s: %s (max rel err %.3g)@."
-                    e.Ujam_native.Native.vname
-                    (if e.Ujam_native.Native.diffs = [] then "ok" else "FAILED")
-                    e.Ujam_native.Native.max_rel_err)
-                eqs;
-              if bad then exit 1)
-    end
+    gated ~stage:Error.Native (require_target target n) (fun nest ->
+        let variants =
+          { Emit.vname = "orig"; nest }
+          ::
+          (if transform then begin
+             let r = optimize ~machine ~bound ~cache:(not no_cache) nest in
+             let u = Unroll.clamp_divisible nest r.Driver.choice.Search.u in
+             [ { Emit.vname = "u=" ^ Vec.to_string u;
+                 nest = Unroll.unroll_and_jam nest u } ]
+           end
+           else [])
+        in
+        let spec =
+          { Emit.uname = Nest.name nest;
+            seed;
+            repeats = max 1 repeats;
+            variants }
+        in
+        let text = Emit.program [ spec ] in
+        (match out with
+        | Some path ->
+            if not (Obs.write_file path text) then exit 1;
+            Format.eprintf "ujc emit: wrote %s (%s)@." path
+              (plural (List.length variants) "variant")
+        | None -> if not run_it then print_string text);
+        if run_it then begin
+          match Ujam_native.Toolchain.find () with
+          | Error msg -> usage "ujc emit: --run needs a native toolchain: %s" msg
+          | Ok tc -> (
+              match Native.run_units tc [ spec ] with
+              | Error msg ->
+                  Format.eprintf "ujc emit: %s@." msg;
+                  exit 1
+              | Ok results ->
+                  let res = List.hd results in
+                  List.iter
+                    (fun { Native.vname; seconds; checksums; _ } ->
+                      Format.printf "%s: %.3e s/run %s@." vname seconds
+                        (String.concat " "
+                           (List.map (fun (b, c) -> Printf.sprintf "%s=%.9g" b c) checksums)))
+                    res.Native.outcomes;
+                  let eqs = Native.equivalences spec res in
+                  let bad = List.exists (fun e -> e.Native.diffs <> []) eqs in
+                  List.iter
+                    (fun { Native.vname; diffs; max_rel_err; _ } ->
+                      Format.printf "equivalence %s: %s (max rel err %.3g)@." vname
+                        (if diffs = [] then "ok" else "FAILED")
+                        max_rel_err)
+                    eqs;
+                  if bad then exit 1)
+        end)
   in
   Cmd.v
     (Cmd.info "emit"
-       ~doc:"Lower a nest to a standalone OCaml program over flat float              arrays (optionally with the engine-chosen unroll variant),              and with $(b,--run) compile, execute, and check it against              the reference interpreter.")
+       ~doc:
+         (refuses
+            "Lower a nest to a standalone OCaml program over flat float              arrays (optionally with the engine-chosen unroll variant),              and with $(b,--run) compile, execute, and check it against              the reference interpreter."))
     Term.(const run $ target_req $ size_arg $ machine_arg $ bound_arg 8
           $ cache_arg $ out_arg $ run_flag $ transform_flag $ repeats_arg
           $ emit_seed_arg)
@@ -819,12 +793,10 @@ let lint_cmd =
   in
   let run target all fuzz seed n machine bound json rules level =
     (match Option.map Options.rules rules with
-    | Some (Error e) ->
-        Format.eprintf "ujc lint: %s@." (Options.to_string e);
-        exit 2
+    | Some (Error e) -> usage "ujc lint: %s" (Options.to_string e)
     | None | Some (Ok _) -> ());
     let lint_nest nest =
-      (Ujam_ir.Nest.name nest, Lint.run ?rules ?level ~bound ~machine nest)
+      (Nest.name nest, Lint.run ?rules ?level ~bound ~machine nest)
     in
     let targeted =
       match target with
@@ -832,14 +804,13 @@ let lint_cmd =
       | Some s -> (
           match resolve_target s n with
           | Ok nest -> [ lint_nest nest ]
-          | Error e -> [ (s, [ Lint.of_parse_error e ]) ])
+          | Error ({ Error.diagnostics = _ :: _; _ } as e) ->
+              [ (s, e.Error.diagnostics) ]
+          | Error e -> fail e)
     in
     let catalogue =
       if not all then []
-      else
-        List.map
-          (fun e -> lint_nest (build e n))
-          Ujam_kernels.Catalogue.all
+      else List.map (fun e -> lint_nest (kernel e.Catalogue.name n)) Catalogue.all
     in
     let fuzzed =
       if fuzz <= 0 then []
@@ -849,17 +820,14 @@ let lint_cmd =
         |> List.map lint_nest
     in
     let results = targeted @ catalogue @ fuzzed in
-    if results = [] then begin
-      Format.eprintf "ujc lint: missing TARGET (or pass --all / --fuzz N)@.";
-      exit 2
-    end;
+    if results = [] then usage "ujc lint: missing TARGET (or pass --all / --fuzz N)";
     let all_ds = List.concat_map snd results in
     let errors, warnings, infos = Diagnostic.count all_ds in
     if json then
       print_endline
         (Json.to_string
            (Json.Obj
-              [ ("machine", Json.Str machine.Ujam_machine.Machine.name);
+              [ ("machine", Json.Str machine.Machine.name);
                 ("bound", Json.Int bound);
                 ( "nests",
                   Json.List
@@ -867,29 +835,17 @@ let lint_cmd =
                        (fun (name, ds) ->
                          Json.Obj
                            [ ("nest", Json.Str name);
-                             ( "diagnostics",
-                               Json.List (List.map Diagnostic.to_json ds) ) ])
+                             ("diagnostics", Json.List (List.map Diagnostic.to_json ds)) ])
                        results) );
                 ("errors", Json.Int errors);
                 ("warnings", Json.Int warnings);
                 ("infos", Json.Int infos);
                 ("ok", Json.Bool (errors = 0)) ]))
     else begin
-      List.iter
-        (fun (_, ds) ->
-          List.iter
-            (fun d -> Format.printf "@[<v>%a@]@." Diagnostic.pp d)
-            ds)
-        results;
-      Format.printf "lint: %d nest%s, %d error%s, %d warning%s, %d info%s@."
-        (List.length results)
-        (if List.length results = 1 then "" else "s")
-        errors
-        (if errors = 1 then "" else "s")
-        warnings
-        (if warnings = 1 then "" else "s")
-        infos
-        (if infos = 1 then "" else "s")
+      List.iter (fun d -> Format.printf "@[<v>%a@]@." Diagnostic.pp d) all_ds;
+      Format.printf "lint: %s, %s, %s, %s@."
+        (plural (List.length results) "nest")
+        (plural errors "error") (plural warnings "warning") (plural infos "info")
     end;
     if errors > 0 then exit 1
   in
@@ -915,13 +871,15 @@ let explain_cmd =
 
 let dot_cmd =
   let run target n no_input =
-    let nest = require_target target n in
-    let g = Ujam_depend.Graph.build ~include_input:(not no_input) nest in
-    print_string (Ujam_depend.Graph.to_dot g)
+    gated ~stage:Error.Graph (require_target target n) (fun nest ->
+        let g = Graph.build ~include_input:(not no_input) nest in
+        print_string (Graph.to_dot g))
   in
   Cmd.v
     (Cmd.info "dot"
-       ~doc:"Emit a nest's dependence graph as Graphviz DOT (kernel name or              loop-nest file).")
+       ~doc:
+         (refuses
+            "Emit a nest's dependence graph as Graphviz DOT (kernel name or              loop-nest file)."))
     Term.(const run $ target_req $ size_arg $ input_flag)
 
 (* ------------------------------------------------------------------ *)
@@ -935,21 +893,16 @@ let dot_cmd =
 let dispatch_ref : (string array -> int) ref = ref (fun _ -> 2)
 
 let validate_trace path =
-  let content = read_file path in
-  match Json.of_string content with
+  match Json.of_string (read_file path) with
   | Error e -> Error (Printf.sprintf "not valid JSON: %s" e)
   | Ok json -> (
       match Json.member "traceEvents" json with
       | Some (Json.List events) ->
-          let is_str = function Some (Json.Str _) -> true | _ -> false in
-          let is_int = function Some (Json.Int _) -> true | _ -> false in
+          let is_int k e = match Json.member k e with Some (Json.Int _) -> true | _ -> false in
           let well_formed e =
-            is_str (Json.member "name" e)
+            (match Json.member "name" e with Some (Json.Str _) -> true | _ -> false)
             && Json.member "ph" e = Some (Json.Str "X")
-            && is_int (Json.member "ts" e)
-            && is_int (Json.member "dur" e)
-            && is_int (Json.member "pid" e)
-            && is_int (Json.member "tid" e)
+            && List.for_all (fun k -> is_int k e) [ "ts"; "dur"; "pid"; "tid" ]
           in
           if List.for_all well_formed events then Ok events
           else Error "an event lacks name/ph/ts/dur/pid/tid"
@@ -980,10 +933,7 @@ let trace_cmd =
   in
   let run out metrics args =
     let args = match args with "engine" :: rest -> rest | rest -> rest in
-    if args = [] then begin
-      Format.eprintf "ujc trace: missing CMD (try `ujc trace engine corpus')@.";
-      exit 2
-    end;
+    if args = [] then usage "ujc trace: missing CMD (try `ujc trace engine corpus')";
     Obs.enable ();
     let code = !dispatch_ref (Array.of_list ("ujc" :: args)) in
     let wrote_trace =
@@ -1089,11 +1039,8 @@ let serve_cmd =
   in
   let run machine bound max_loops model seq domains socket stdio cache_size
       cache_file timeout_ms max_request_bytes metrics_out trace_out quiet =
-    if socket = None && not stdio then begin
-      Format.eprintf
-        "ujc serve: no transport; pass --socket PATH and/or --stdio@.";
-      exit 2
-    end;
+    if socket = None && not stdio then
+      usage "ujc serve: no transport; pass --socket PATH and/or --stdio";
     let cfg =
       { Serve.machine; bound; max_loops; model; seq; domains; cache_size;
         cache_file; timeout_ms; max_request_bytes; metrics_out; trace_out;
@@ -1137,11 +1084,8 @@ let () =
        String.length cmd > 0
        && cmd.[0] <> '-'
        && not (List.exists is_prefix_of known)
-     then begin
-       Format.eprintf "ujc: unknown subcommand %S@." cmd;
-       Format.eprintf "known subcommands: %s@."
-         (String.concat ", " (List.sort String.compare known));
-       exit 2
-     end);
+     then
+       usage "ujc: unknown subcommand %S@\nknown subcommands: %s" cmd
+         (String.concat ", " (List.sort String.compare known)));
   dispatch_ref := (fun argv -> Cmd.eval ~argv:(remap argv) group);
   exit (Cmd.eval ~argv:(remap Sys.argv) group)

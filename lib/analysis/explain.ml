@@ -26,9 +26,6 @@ type t = {
   cache : Cachecheck.t option;
 }
 
-let model_of t = t.model
-let choice_u t = Option.map (fun (c : Search.choice) -> c.Search.u) t.choice
-
 let run ?bound ?max_loops ?level ?(seq = false) ~machine nest =
   let name = Nest.name nest in
   let flops = Nest.flops_per_iteration nest in

@@ -22,8 +22,6 @@
     [reasons] collects the human-readable causes in rendering order;
     [diagnostics] carries the underlying located lint output. *)
 
-open Ujam_linalg
-
 type t = {
   nest : string;
   machine : string;
@@ -67,8 +65,3 @@ val run :
 
 val pp : Format.formatter -> t -> unit
 val to_json : t -> Ujam_obs.Json.t
-
-val model_of : t -> string
-(** [t.model]; exported for tests. *)
-
-val choice_u : t -> Vec.t option

@@ -21,7 +21,8 @@ let rules =
     ("UJ027", Diagnostic.Warning, "UGS reuse distance thrashes a cache level");
     ("UJ028", Diagnostic.Info, "no carried reuse fits a cache level");
     ("UJ029", Diagnostic.Warning, "chosen vector degrades a predicted miss ratio");
-    ("UJ030", Diagnostic.Error, "invalid cache geometry in the machine description") ]
+    ("UJ030", Diagnostic.Error, "invalid cache geometry in the machine description");
+    ("UJ031", Diagnostic.Error, "subscript constant or loop bound outside the supported range") ]
 
 let error = Diagnostic.Error
 let warning = Diagnostic.Warning
@@ -85,37 +86,34 @@ let rule_subscript_depth nest =
       else None)
     (Site.of_nest nest)
 
-let rule_supported nest =
+(* The supported-class fence: one located diagnostic per violation of
+   the one scan ({!Supported.violations}). *)
+let check_supported nest =
   let name = Nest.name nest in
-  let steps =
-    Array.to_list (Nest.loops nest)
-    |> List.filter_map (fun (l : Loop.t) ->
-           if l.Loop.step <> 1 then
-             Some
-               (diag ~rule:"UJ004" ~severity:error
-                  ~loc:(Loc.level ~nest:name l.Loop.level)
-                  "loop %s has step %d; the supported class is unit-step"
-                  l.Loop.var l.Loop.step)
-           else None)
-  in
-  let coefs =
-    List.concat_map
-      (fun (s : Site.t) ->
-        let (r : Aref.t) = s.Site.ref_ in
-        List.concat
-          (List.init (Aref.rank r) (fun i ->
-               let sub = r.Aref.subs.(i) in
-               Array.to_list sub.Affine.coefs
-               |> List.filteri (fun _ c -> abs c > Supported.max_coefficient)
-               |> List.map (fun c ->
-                      diag ~rule:"UJ005" ~severity:error
-                        ~loc:(Loc.stmt ~nest:name ~site:s.Site.id s.Site.stmt)
-                        "%s: subscript %d uses coefficient %d (supported class \
-                         allows |a| <= %d)"
-                        (Aref.base r) i c Supported.max_coefficient))))
-      (Site.of_nest nest)
-  in
-  steps @ coefs
+  let at_site (s : Site.t) = Loc.stmt ~nest:name ~site:s.Site.id s.Site.stmt in
+  List.map
+    (function
+      | Supported.Bad_step l ->
+          diag ~rule:"UJ004" ~severity:error
+            ~loc:(Loc.level ~nest:name l.Loop.level)
+            "loop %s has step %d; the supported class is unit-step" l.Loop.var
+            l.Loop.step
+      | Supported.Bad_bound { loop; bound } ->
+          diag ~rule:"UJ031" ~severity:error
+            ~loc:(Loc.level ~nest:name loop.Loop.level)
+            "loop %s has bound %d (supported class allows |b| <= %d)"
+            loop.Loop.var bound Supported.max_constant
+      | Supported.Bad_coefficient { site; dim; coef } ->
+          diag ~rule:"UJ005" ~severity:error ~loc:(at_site site)
+            "%s: subscript %d uses coefficient %d (supported class allows |a| \
+             <= %d)"
+            (Aref.base site.Site.ref_) dim coef Supported.max_coefficient
+      | Supported.Bad_constant { site; dim; const } ->
+          diag ~rule:"UJ031" ~severity:error ~loc:(at_site site)
+            "%s: subscript %d uses constant %d (supported class allows |c| \
+             <= %d)"
+            (Aref.base site.Site.ref_) dim const Supported.max_constant)
+    (Supported.violations nest)
 
 let rule_coupled nest =
   let name = Nest.name nest in
@@ -140,9 +138,7 @@ let rule_flops nest =
 
 let structure_phase nest =
   rule_structure nest @ rule_trip nest @ rule_subscript_depth nest
-  @ rule_supported nest @ rule_coupled nest @ rule_flops nest
-
-let check_supported = rule_supported
+  @ check_supported nest @ rule_coupled nest @ rule_flops nest
 
 (* ---- analysis phase ---------------------------------------------------- *)
 
@@ -244,26 +240,18 @@ let finish ?rules:selected ds =
       ds;
   List.stable_sort Diagnostic.compare ds
 
+(* The analysis phase runs only past a clean structure phase, so [ctx]
+   is forced only then. *)
+let phases ?rules ?level ~machine nest ctx =
+  let ds = Cachecheck.geometry_diagnostics ~machine nest @ structure_phase nest in
+  finish ?rules
+    (if List.exists Diagnostic.is_error ds then ds
+     else ds @ analysis_phase ?level (Lazy.force ctx))
+
 let run_ctx ?rules ?level ctx =
-  let nest = Analysis_ctx.nest ctx in
-  let machine = Analysis_ctx.machine ctx in
-  let geometry = Cachecheck.geometry_diagnostics ~machine nest in
-  let structure = structure_phase nest in
-  let ds =
-    if List.exists Diagnostic.is_error (geometry @ structure) then
-      geometry @ structure
-    else geometry @ structure @ analysis_phase ?level ctx
-  in
-  finish ?rules ds
+  phases ?rules ?level ~machine:(Analysis_ctx.machine ctx)
+    (Analysis_ctx.nest ctx) (Lazy.from_val ctx)
 
 let run ?rules ?level ?bound ?max_loops ~machine nest =
-  let geometry = Cachecheck.geometry_diagnostics ~machine nest in
-  let structure = structure_phase nest in
-  let ds =
-    if List.exists Diagnostic.is_error (geometry @ structure) then
-      geometry @ structure
-    else
-      let ctx = Analysis_ctx.create ?bound ?max_loops ~machine nest in
-      geometry @ structure @ analysis_phase ?level ctx
-  in
-  finish ?rules ds
+  phases ?rules ?level ~machine nest
+    (lazy (Analysis_ctx.create ?bound ?max_loops ~machine nest))

@@ -22,6 +22,10 @@
     - [UJ004] Error — non-unit loop step (outside the supported class).
     - [UJ005] Error — subscript coefficient above
       {!Ujam_ir.Supported.max_coefficient}, located at the site.
+    - [UJ031] Error — subscript constant (located at the site) or
+      loop-bound constant (located at the loop) above
+      {!Ujam_ir.Supported.max_constant}; with UJ004 and UJ005 the one
+      scan {!Ujam_ir.Supported.violations}.
     - [UJ006] Warning — coupled (non-separable-SIV) subscripts: the
       UGS model still counts them, but dependence distances may go
       inconsistent ([Star]) and cost more legality than necessary.
@@ -80,8 +84,8 @@ val run_ctx :
 (** Same, reusing an existing context (and its memoised tables). *)
 
 val check_supported : Ujam_ir.Nest.t -> Diagnostic.t list
-(** Just the supported-class fence (UJ004/UJ005) — the located
-    replacement for the boolean {!Ujam_ir.Supported.check} path. *)
+(** Just the supported-class fence: one located UJ004/UJ005/UJ031
+    Error per {!Ujam_ir.Supported.violations} entry, in its order. *)
 
 val of_parse_error : Ujam_ir.Parse.error -> Diagnostic.t
 (** A parse failure as a located [UJ000] Error. *)

@@ -26,7 +26,8 @@ val uniform : bounds:(int * int) array option -> prepared -> int array -> result
 (** [uniform ~bounds (prepare h) rhs] tests [H i + c1] against [H i + c2]
     with [rhs = c1 - c2]; the result depends only on [(H, rhs, bounds)].
     The particular solution is {!Ujam_linalg.Subspace.outcome}'s, which
-    is [Mat.solve_rat h rhs], found in [int] arithmetic.
+    is the rational solution of [h x = rhs] with free variables zero,
+    found in [int] arithmetic.
     A non-integral rational solution is all-[Star] for a coupled [H] and
     [Independent] otherwise.  {!test} is [prepare] + [uniform] on a
     uniform pair. *)

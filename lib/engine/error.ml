@@ -1,7 +1,7 @@
 open Ujam_ir
 module Diagnostic = Ujam_analysis.Diagnostic
 
-type stage = Validate | Parse | Graph | Tables | Search | Transform | Sim | Native
+type stage = Load | Validate | Parse | Graph | Tables | Search | Transform | Sim | Native
 
 type t = {
   stage : stage;
@@ -14,6 +14,7 @@ let make ~stage ~routine ?(diagnostics = []) message =
   { stage; routine; message; diagnostics }
 
 let stage_name = function
+  | Load -> "load"
   | Validate -> "validate"
   | Parse -> "parse"
   | Graph -> "graph"
@@ -46,10 +47,9 @@ let guard ~stage ~routine f =
    typed Validate error instead of feeding the lattice solvers inputs
    they do not model. *)
 let check_supported ~routine nest =
-  match Supported.check nest with
-  | Ok () -> Ok ()
-  | Error message ->
-      (* The boolean fence stays the source of truth; the lint rules
-         re-locate each violation (UJ004/UJ005) for the report. *)
+  match Supported.violations nest with
+  | [] -> Ok ()
+  | first :: _ ->
       let diagnostics = Ujam_analysis.Lint.check_supported nest in
-      Error (make ~stage:Validate ~routine ~diagnostics message)
+      Error
+        (make ~stage:Validate ~routine ~diagnostics (Supported.message nest first))

@@ -9,6 +9,7 @@
     the modelled subscript class up front. *)
 
 type stage =
+  | Load       (** no such kernel, or its builder failed ({!Load}) *)
   | Validate   (** nest outside the supported subscript class *)
   | Parse      (** source text did not parse *)
   | Graph      (** dependence graph / safety analysis *)
@@ -48,9 +49,9 @@ val guard : stage:stage -> routine:string -> (unit -> 'a) -> ('a, t) result
 (** Run a pipeline stage, converting its exceptions into a typed error. *)
 
 val check_supported : routine:string -> Ujam_ir.Nest.t -> (unit, t) result
-(** Reject nests the reuse model does not cover (non-unit loop steps and
-    subscript coefficients beyond {!Ujam_ir.Supported.max_coefficient}) with a typed
-    [Validate] error; the class itself is defined by
-    {!Ujam_ir.Supported.check}, and every violation is attached as a
-    located [UJ004]/[UJ005] diagnostic
-    ({!Ujam_analysis.Lint.check_supported}). *)
+(** Reject nests the reuse model does not cover (non-unit loop steps,
+    subscript coefficients beyond {!Ujam_ir.Supported.max_coefficient},
+    constants beyond {!Ujam_ir.Supported.max_constant}) with a typed
+    [Validate] error; the class itself is {!Ujam_ir.Supported.violations},
+    and every violation is attached as a located [UJ004]/[UJ005]/[UJ031]
+    diagnostic ({!Ujam_analysis.Lint.check_supported}). *)

@@ -26,83 +26,76 @@ let choice_of_metrics ~machine ~cache (u, (m : Bruteforce.metrics)) =
     memory_ops = m.Bruteforce.memory_ops;
     flops = m.Bruteforce.flops }
 
-module Ugs_tables = struct
-  let name = "ugs"
-  let description = "UGS tables + balance search (the paper's model)"
-  let cache = true
-  let prunes = true
-
-  let analyze ?(exhaustive = false) ctx =
-    let balance = Analysis_ctx.balance ctx in
-    Analysis_ctx.timed ctx Analysis_ctx.Search (fun () ->
-        Search.best ~prune:(not exhaustive) ~cache balance)
-end
-
-module No_cache = struct
-  let name = "no-cache"
-  let description = "UGS tables under the all-hits Carr-Kennedy balance"
-  let cache = false
-  let prunes = true
-
-  let analyze ?(exhaustive = false) ctx =
-    let balance = Analysis_ctx.balance ctx in
-    Analysis_ctx.timed ctx Analysis_ctx.Search (fun () ->
-        Search.best ~prune:(not exhaustive) ~cache balance)
-end
-
-module Dep_based = struct
-  let name = "dep"
-  let description = "dependence-graph reuse model (Carr PACT'96 baseline)"
-  let cache = true
-  let prunes = false
-
-  let analyze ?exhaustive:_ ctx =
-    let machine = Analysis_ctx.machine ctx in
-    let space = Analysis_ctx.space ctx in
-    let nest = Analysis_ctx.nest ctx in
-    Analysis_ctx.timed ctx Analysis_ctx.Search (fun () ->
-        choice_of_metrics ~machine ~cache
-          (Depmodel.best ~cache ~machine space nest))
-end
-
-module Brute_force = struct
-  let name = "brute"
-  let description = "materialise every unrolled body (Wolf-Maydan-Chen)"
-  let cache = true
-  let prunes = false
-
-  let analyze ?exhaustive:_ ctx =
-    let machine = Analysis_ctx.machine ctx in
-    let space = Analysis_ctx.space ctx in
-    let nest = Analysis_ctx.nest ctx in
-    Analysis_ctx.timed ctx Analysis_ctx.Search (fun () ->
-        choice_of_metrics ~machine ~cache
-          (Bruteforce.best ~cache ~machine space nest))
-end
-
-(* UGS tables with the balance priced at one hierarchy level (the
-   tables are line-independent, see [Balance.misses_with]); falls back
-   to the deepest available level when the machine is shallower. *)
-let at_level k : (module MODEL) =
+(* The table strategies differ only in name, cache term and the
+   hierarchy level the balance is priced at ([None]: the machine's
+   default).  A level beyond the machine falls back to its deepest (the
+   tables are line-independent, see [Balance.misses_with]). *)
+let tables ~name ~description ~cache ~level : (module MODEL) =
   (module struct
-    let name = Printf.sprintf "ugs-l%d" k
-    let description =
-      Printf.sprintf "UGS tables, balance priced at hierarchy level %d" k
-    let cache = true
+    let name = name
+    let description = description
+    let cache = cache
     let prunes = true
 
     let analyze ?(exhaustive = false) ctx =
-      let machine = Analysis_ctx.machine ctx in
-      let levels = Ujam_machine.Machine.effective_levels machine in
       let level =
-        match Ujam_machine.Machine.level_at machine k with
-        | Some l -> l
-        | None -> List.nth levels (List.length levels - 1)
+        Option.map
+          (fun k ->
+            let machine = Analysis_ctx.machine ctx in
+            match Ujam_machine.Machine.level_at machine k with
+            | Some l -> l
+            | None ->
+                let levels = Ujam_machine.Machine.effective_levels machine in
+                List.nth levels (List.length levels - 1))
+          level
       in
       let balance = Analysis_ctx.balance ctx in
       Analysis_ctx.timed ctx Analysis_ctx.Search (fun () ->
-          Search.best ~prune:(not exhaustive) ~level ~cache balance)
+          Search.best ~prune:(not exhaustive) ?level ~cache balance)
   end)
+
+module Ugs_tables =
+  (val tables ~name:"ugs"
+         ~description:"UGS tables + balance search (the paper's model)"
+         ~cache:true ~level:None)
+
+module No_cache =
+  (val tables ~name:"no-cache"
+         ~description:"UGS tables under the all-hits Carr-Kennedy balance"
+         ~cache:false ~level:None)
+
+(* The baselines re-derive reuse for every candidate; they differ only
+   in name and in the search that does it. *)
+let baseline ~name ~description best : (module MODEL) =
+  (module struct
+    let name = name
+    let description = description
+    let cache = true
+    let prunes = false
+
+    let analyze ?exhaustive:_ ctx =
+      let machine = Analysis_ctx.machine ctx in
+      Analysis_ctx.timed ctx Analysis_ctx.Search (fun () ->
+          choice_of_metrics ~machine ~cache
+            (best ~cache ~machine (Analysis_ctx.space ctx) (Analysis_ctx.nest ctx)))
+  end)
+
+module Dep_based =
+  (val baseline ~name:"dep"
+         ~description:"dependence-graph reuse model (Carr PACT'96 baseline)"
+         Depmodel.best)
+
+module Brute_force =
+  (val baseline ~name:"brute"
+         ~description:"materialise every unrolled body (Wolf-Maydan-Chen)"
+         Bruteforce.best)
+
+let at_level k =
+  tables
+    ~name:(Printf.sprintf "ugs-l%d" k)
+    ~description:
+      (Printf.sprintf "UGS tables, balance priced at hierarchy level %d" k)
+    ~cache:true ~level:(Some k)
 
 module Ugs_l2 = (val at_level 2)
 

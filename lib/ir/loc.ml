@@ -18,8 +18,6 @@ let with_nest t n =
 
 let is_none t = t = none
 
-let equal (a : t) (b : t) = a = b
-
 let to_fields t =
   List.filter_map
     (fun (k, v) -> Option.map (fun v -> (k, v)) v)

@@ -29,8 +29,6 @@ val with_nest : t -> string -> t
 
 val is_none : t -> bool
 
-val equal : t -> t -> bool
-
 val pp : Format.formatter -> t -> unit
 (** Compact rendering of the known fields, outermost first, e.g.
     ["dmxpy0:loop1"], ["jacobi:stmt0:site2"], ["line 3"]. *)

@@ -154,14 +154,27 @@ let parse_affine st ~depth ~level_of =
         term (-1)
     | _ -> term 1
   in
+  (* A sum that wraps would hand the analysis numbers the text does not
+     say, so it is a located error like an out-of-range literal. *)
+  let plus a b =
+    let s = a + b in
+    if (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0) then
+      fail st.line "subscript arithmetic overflows"
+    else s
+  in
+  let add acc (t : Affine.t) =
+    Affine.make
+      ~coefs:(Array.map2 plus acc.Affine.coefs t.Affine.coefs)
+      ~const:(plus acc.Affine.const t.Affine.const)
+  in
   let rec more acc =
     match peek st with
     | Some Plus ->
         ignore (advance st);
-        more (Affine.add acc (term 1))
+        more (add acc (term 1))
     | Some Minus ->
         ignore (advance st);
-        more (Affine.add acc (term (-1)))
+        more (add acc (term (-1)))
     | _ -> acc
   in
   more first

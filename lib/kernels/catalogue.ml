@@ -45,7 +45,13 @@ let all =
     { num = 19; name = "shal"; description = "Shallow Water Kernel";
       build = Kernels.shal } ]
 
-let find name = List.find_opt (fun e -> String.equal e.name name) all
+let find name =
+  match List.find_opt (fun e -> String.equal e.name name) all with
+  | Some _ as e -> e
+  | None ->
+      Option.map
+        (fun build -> { num = 0; name; description = "extra kernel"; build })
+        (List.assoc_opt name Extras.all)
 
 let pp_table ppf () =
   Format.fprintf ppf "@[<v>%-4s %-10s %s@," "Num" "Loop" "Description";

@@ -151,22 +151,6 @@ let kernel t =
     !basis
   end
 
-let solve_rat t c =
-  if Vec.dim c <> t.nrows then invalid_arg "Mat.solve_rat: dimension";
-  let aug =
-    Array.init t.nrows (fun i ->
-        Array.init (t.ncols + 1) (fun j ->
-            if j < t.ncols then Rat.of_int t.data.(i).(j)
-            else Rat.of_int (Vec.get c i)))
-  in
-  let a, pivots = rref_rat aug in
-  if Array.exists (fun p -> p = t.ncols) pivots then None
-  else begin
-    let x = Array.make t.ncols Rat.zero in
-    Array.iteri (fun prow pcol -> x.(pcol) <- a.(prow).(t.ncols)) pivots;
-    Some x
-  end
-
 let row_space t =
   let a, pivots = rref_rat (to_rat t) in
   List.init (Array.length pivots) (fun i -> primitive_int a.(i))

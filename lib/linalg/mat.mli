@@ -50,16 +50,12 @@ val rref_rat : ?pivot_cols:int -> Rat.t array array -> Rat.t array array * int a
     the pivot column of each pivot row.  Pivots are sought only in the
     first [pivot_cols] columns (default: all), left to right, taking the
     first non-zero entry at or below the current row; the remaining
-    columns are carried along by the row operations.  {!solve_rat},
-    {!kernel} and {!row_space} are this elimination. *)
+    columns are carried along by the row operations.  {!kernel} and
+    {!row_space} are this elimination. *)
 
 val kernel : t -> Vec.t list
 (** Basis of the rational nullspace, rescaled to primitive integer
     vectors.  The empty list means the kernel is trivial. *)
-
-val solve_rat : t -> Vec.t -> Rat.t array option
-(** [solve_rat m c] is a rational solution of [m x = c] (free variables
-    set to zero), or [None] if the system is inconsistent. *)
 
 val row_space : t -> Vec.t list
 (** Canonical basis of the row space: the non-zero rows of the reduced

@@ -49,7 +49,7 @@ type prepared
 val prepare : Mat.t -> t -> prepared
 (** [prepare h l] factors [H] against [L]: Gauss-Jordan elimination
     ({!Mat.rref_rat}) on [H B | I], pivoting only on the [H B] columns
-    (the pivots {!Mat.solve_rat} finds on [H B | c] for any [c]), keeps
+    (the pivots a Gauss-Jordan solve of [H B | c] finds for any [c]), keeps
     the row operations [E] (the [I] half) as integers: its rows past the
     rank, denominators cleared, and each row [X_i = D_i (B E_p)_i] for the
     pivot rows [E_p] and the lcm [D_i] of the denominators that row uses.
@@ -64,9 +64,9 @@ type outcome =
 
 val outcome : prepared -> int array -> outcome
 (** [x_i = (B y)_i = X_i c / D_i] for the rational solution [y] of
-    [H B y = c] with free variables zero (over the full space,
-    {!Mat.solve_rat}'s), if [c] has a zero dot product with every cleared
-    row past the rank. *)
+    [H B y = c] with free variables zero (over the full space, the one
+    Gauss-Jordan on [H | c] finds), if [c] has a zero dot product with
+    every cleared row past the rank. *)
 
 val solve : prepared -> Vec.t -> Vec.t option
 (** The [Integral] witness of {!outcome}: some integral [x] in [L] with

@@ -50,8 +50,6 @@ let hppa_mem =
           ~access:1 ~penalty:40 () ]
     ()
 
-let all = [ alpha; hppa; generic () ]
-
 (* Every spelling the CLI and the daemon accept, canonical name first;
    [generic] is built fresh per lookup. *)
 let table =

@@ -25,8 +25,6 @@ val hppa_mem : Machine.t
 val generic :
   ?fp_registers:int -> ?miss_penalty:int -> ?prefetch_bandwidth:float -> unit -> Machine.t
 
-val all : Machine.t list
-
 val names : string list
 (** Canonical preset names: ["alpha"], ["hppa"], ["alpha-mem"],
     ["hppa-mem"], ["generic"]. *)

@@ -85,14 +85,19 @@ let unit_layout spec =
       let dims = Array.length rng in
       let mins = Array.map fst rng in
       let extents = Array.map (fun (lo, hi) -> hi - lo + 1) rng in
+      (* checked, so a count past [max_int] cannot wrap under the limit *)
+      let size =
+        Array.fold_left
+          (fun acc e -> if acc > max_int / e then max_int else acc * e)
+          1 extents
+      in
+      if size > max_elements then
+        invalid_arg
+          (Printf.sprintf "Emit.unit_layout: array %s needs %d elements" b size);
       let strides = Array.make dims 1 in
       for i = 1 to dims - 1 do
         strides.(i) <- strides.(i - 1) * extents.(i - 1)
       done;
-      let size = if dims = 0 then 1 else strides.(dims - 1) * extents.(dims - 1) in
-      if size > max_elements then
-        invalid_arg
-          (Printf.sprintf "Emit.unit_layout: array %s needs %d elements" b size);
       (b, { mins; extents; strides; size }))
     !order
 

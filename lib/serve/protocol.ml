@@ -18,7 +18,9 @@ let method_names = List.map method_name methods
 let method_of_name s =
   List.find_opt (fun m -> String.equal (method_name m) s) methods
 
-type source = Inline of string | Kernel of string * int option
+type source = Ujam_engine.Load.source =
+  | Inline of string
+  | Kernel of string * int option
 
 type request = {
   id : Json.t;

@@ -40,7 +40,11 @@ type method_ = Optimize | Explain | Lint | Metrics | Ping | Shutdown
 val method_name : method_ -> string
 val method_names : string list
 
-type source = Inline of string | Kernel of string * int option
+type source = Ujam_engine.Load.source =
+  | Inline of string
+  | Kernel of string * int option
+(** The engine loader's source: the daemon gets every nest through
+    {!Ujam_engine.Load.nest}. *)
 
 type request = {
   id : Json.t;  (** echoed; [Null] when the client sent none *)

@@ -7,8 +7,7 @@ module Engine = Ujam_engine.Engine
 module Model = Ujam_engine.Model
 module Error = Ujam_engine.Error
 module Result_cache = Ujam_engine.Result_cache
-module Parse = Ujam_ir.Parse
-module Catalogue = Ujam_kernels.Catalogue
+module Load = Ujam_engine.Load
 module Lint = Ujam_analysis.Lint
 module Explain = Ujam_analysis.Explain
 module Diagnostic = Ujam_analysis.Diagnostic
@@ -189,13 +188,20 @@ let compute_of ~(meth : Protocol.method_) (o : Options.t) ~routine nest =
       fun () ->
         (false, Protocol.error_payload ~kind:Protocol.Protocol "not a job")
 
+(* An error answered on the spot, in order with the connection's other
+   requests. *)
+let refuse st conn ~id ?diagnostics kind msg =
+  Queue.add
+    (Ready (conn, false, Protocol.error_response ~id ~kind ?diagnostics msg))
+    st.pending
+
+let oversized st conn =
+  refuse st conn ~id:Json.Null Protocol.Oversized
+    (Printf.sprintf "request line exceeds %d bytes" st.cfg.max_request_bytes)
+
 let enqueue_request st conn arrival (req : Protocol.request) =
   let id = req.Protocol.id in
-  let perr msg =
-    Queue.add
-      (Ready (conn, false, Protocol.error_response ~id ~kind:Protocol.Protocol msg))
-      st.pending
-  in
+  let perr = refuse st conn ~id Protocol.Protocol in
   match req.Protocol.meth with
   | Protocol.Ping ->
       Queue.add
@@ -228,73 +234,45 @@ let enqueue_request st conn arrival (req : Protocol.request) =
       match Options.resolve defaults req.Protocol.options with
       | Error e -> perr (Options.to_string e)
       | Ok opts -> (
-          let nest_r =
-            match req.Protocol.source with
-            | None -> Error (`Protocol "params needs a nest or a kernel")
-            | Some (Protocol.Kernel (k, n)) -> (
-                match Catalogue.find k with
-                | None -> Error (`Protocol (Printf.sprintf "unknown kernel %S" k))
-                | Some e -> (
-                    let name =
-                      Option.value req.Protocol.name
-                        ~default:e.Catalogue.name
+          match req.Protocol.source with
+          | None -> perr "params needs a nest or a kernel"
+          | Some source -> (
+              let routine =
+                match (req.Protocol.name, source) with
+                | Some name, _ -> name
+                | None, Load.Kernel (k, _) -> k
+                | None, Load.Inline _ -> "nest"
+              in
+              match Load.nest ~name:routine source with
+              | Error { Error.stage = Error.Parse; message; diagnostics; _ } ->
+                  refuse st conn ~id Protocol.Parse message
+                    ~diagnostics:(List.map Diagnostic.to_json diagnostics)
+              | Error e -> perr e.Error.message
+              | Ok nest ->
+                  (* The fingerprint digests the parsed nest; it is the
+                     only digest a request pays for. *)
+                  let key =
+                    Options.fingerprint ~op:(Protocol.method_name meth)
+                      ~extra:routine opts nest
+                  in
+                  let deadline =
+                    let spec =
+                      Option.value req.Protocol.timeout_ms ~default:cfg.timeout_ms
                     in
-                    try
-                      Ok
-                        ( name,
-                          match n with
-                          | Some n -> e.Catalogue.build ~n ()
-                          | None -> e.Catalogue.build () )
-                    with exn ->
-                      Error
-                        (`Protocol
-                           (Printf.sprintf "kernel %S: %s" k
-                              (Printexc.to_string exn)))))
-            | Some (Protocol.Inline src) -> (
-                let name = Option.value req.Protocol.name ~default:"nest" in
-                match Parse.nest ~name src with
-                | Ok nest -> Ok (name, nest)
-                | Error pe ->
-                    Error
-                      (`Parse
-                         ( Format.asprintf "%a" Parse.pp_error pe,
-                           [ Diagnostic.to_json (Lint.of_parse_error pe) ] )))
-          in
-          match nest_r with
-          | Error (`Protocol msg) -> perr msg
-          | Error (`Parse (msg, diagnostics)) ->
-              Queue.add
-                (Ready
-                   ( conn,
-                     false,
-                     Protocol.error_response ~id ~kind:Protocol.Parse
-                       ~diagnostics msg ))
-                st.pending
-          | Ok (routine, nest) ->
-              (* The fingerprint digests the parsed nest; it is the
-                 only digest a request pays for. *)
-              let key =
-                Options.fingerprint ~op:(Protocol.method_name meth)
-                  ~extra:routine opts nest
-              in
-              let deadline =
-                let spec =
-                  Option.value req.Protocol.timeout_ms ~default:cfg.timeout_ms
-                in
-                if spec < 0 then None
-                else Some (arrival +. (float_of_int spec /. 1000.))
-              in
-              Queue.add
-                (Compute
-                   { j_conn = conn;
-                     j_id = id;
-                     j_key = key;
-                     j_arrival = arrival;
-                     j_deadline = deadline;
-                     j_label = Protocol.method_name meth;
-                     j_compute =
-                       safe_compute (compute_of ~meth opts ~routine nest) })
-                st.pending))
+                    if spec < 0 then None
+                    else Some (arrival +. (float_of_int spec /. 1000.))
+                  in
+                  Queue.add
+                    (Compute
+                       { j_conn = conn;
+                         j_id = id;
+                         j_key = key;
+                         j_arrival = arrival;
+                         j_deadline = deadline;
+                         j_label = Protocol.method_name meth;
+                         j_compute =
+                           safe_compute (compute_of ~meth opts ~routine nest) })
+                    st.pending)))
 
 let handle_line st conn line =
   let line =
@@ -306,37 +284,16 @@ let handle_line st conn line =
     st.n_requests <- st.n_requests + 1;
     Obs.Counter.incr st.m_requests;
     let arrival = Obs.now () in
-    if String.length line > st.cfg.max_request_bytes then
-      Queue.add
-        (Ready
-           ( conn,
-             false,
-             Protocol.error_response ~id:Json.Null ~kind:Protocol.Oversized
-               (Printf.sprintf "request line exceeds %d bytes"
-                  st.cfg.max_request_bytes) ))
-        st.pending
+    if String.length line > st.cfg.max_request_bytes then oversized st conn
     else
       match Json.of_string line with
       | Error msg ->
-          Queue.add
-            (Ready
-               ( conn,
-                 false,
-                 Protocol.error_response ~id:Json.Null ~kind:Protocol.Protocol
-                   ("invalid JSON: " ^ msg) ))
-            st.pending
+          refuse st conn ~id:Json.Null Protocol.Protocol ("invalid JSON: " ^ msg)
       | Ok json -> (
           match Protocol.request_of_json json with
           | Error msg ->
-              let id =
-                Option.value (Json.member "id" json) ~default:Json.Null
-              in
-              Queue.add
-                (Ready
-                   ( conn,
-                     false,
-                     Protocol.error_response ~id ~kind:Protocol.Protocol msg ))
-                st.pending
+              let id = Option.value (Json.member "id" json) ~default:Json.Null in
+              refuse st conn ~id Protocol.Protocol msg
           | Ok req -> enqueue_request st conn arrival req)
   end
 
@@ -363,14 +320,7 @@ let rec extract_lines st conn =
         Buffer.clear conn.buf;
         st.n_requests <- st.n_requests + 1;
         Obs.Counter.incr st.m_requests;
-        Queue.add
-          (Ready
-             ( conn,
-               false,
-               Protocol.error_response ~id:Json.Null ~kind:Protocol.Oversized
-                 (Printf.sprintf "request line exceeds %d bytes"
-                    st.cfg.max_request_bytes) ))
-          st.pending
+        oversized st conn
       end
 
 let read_chunk st conn =

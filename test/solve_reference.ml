@@ -3,12 +3,31 @@
    rationals, every right-hand side solved in [Rat] arithmetic, and each
    member placed against the class leaders through [Vec.sub], [Vec.set]
    and a [Queue] of cells.  The library's integer path must agree with
-   them exactly.  [mem] and [subset], which only tests use, live here
-   too. *)
+   them exactly.  [mat_solve_rat], [mem] and [subset], which only tests
+   use, live here too. *)
 
 open Ujam_linalg
 open Ujam_ir
 open Ujam_reuse
+
+(* A rational solution of [m x = c] (free variables zero), or [None] if
+   the system is inconsistent: Gauss-Jordan on [m | c], the library's
+   full-space solve before the integer prepared path replaced it. *)
+let mat_solve_rat m c =
+  let rows = Mat.rows m and n = Mat.cols m in
+  if Vec.dim c <> rows then invalid_arg "mat_solve_rat: dimension";
+  let aug =
+    Array.init rows (fun i ->
+        Array.init (n + 1) (fun j ->
+            Rat.of_int (if j < n then Mat.get m i j else Vec.get c i)))
+  in
+  let a, pivots = Mat.rref_rat aug in
+  if Array.exists (fun p -> p = n) pivots then None
+  else begin
+    let x = Array.make n Rat.zero in
+    Array.iteri (fun prow pcol -> x.(pcol) <- a.(prow).(n)) pivots;
+    Some x
+  end
 
 type prepared = {
   n : int;
@@ -76,7 +95,7 @@ let mem v l =
   if Vec.dim v <> Subspace.ambient_dim l then invalid_arg "Subspace.mem: dimension";
   Vec.is_zero v
   || (not (Subspace.is_trivial l))
-     && Option.is_some (Mat.solve_rat (Mat.of_cols (Subspace.basis l) (Subspace.ambient_dim l)) v)
+     && Option.is_some (mat_solve_rat (Mat.of_cols (Subspace.basis l) (Subspace.ambient_dim l)) v)
 
 let subset a b =
   Subspace.ambient_dim a = Subspace.ambient_dim b

@@ -232,12 +232,12 @@ let test_engine_fence_attaches_diagnostics () =
 let test_explain_models () =
   let e = Explain.run ~machine:alpha (catalogue "dmxpy0") in
   Alcotest.(check string) "dmxpy0 goes down the ugs path" "ugs"
-    (Explain.model_of e);
+    e.Explain.model;
   Alcotest.(check bool) "with a non-trivial chosen vector" true
-    (match Explain.choice_u e with Some u -> not (Vec.is_zero u) | None -> false);
+    (match e.Explain.choice with Some c -> not (Vec.is_zero c.Ujam_core.Search.u) | None -> false);
   let e = Explain.run ~machine:alpha step2 in
   Alcotest.(check string) "step-2 nest is unsupported" "unsupported"
-    (Explain.model_of e);
+    e.Explain.model;
   let one =
     nest "one"
       [ loop 1 "I" ~level:0 ~lo:1 ~hi:8 () ]
@@ -245,7 +245,7 @@ let test_explain_models () =
   in
   let e = Explain.run ~machine:alpha one in
   Alcotest.(check string) "a depth-1 nest is trivial" "trivial"
-    (Explain.model_of e)
+    e.Explain.model
 
 let suite =
   [ Alcotest.test_case "corpus is lint-clean" `Quick test_corpus_clean;

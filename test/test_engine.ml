@@ -309,6 +309,82 @@ let test_json_non_finite () =
   Alcotest.(check string) "escaping" {|"a\"b\\c"|}
     (Json.to_string (Json.Str {|a"b\c|}))
 
+(* The front door under hostile text: mutated nest sources (byte edits,
+   plus huge constants, coefficients and trip counts from a fixed list)
+   go through the loader, the supported-class gate and the guarded
+   pipeline the gated commands run (dependence graph and DOT, the driver
+   with its tables and search, emission of the original and the clamped
+   unroll).
+   Every run ends in [Ok] or a typed [Error.t]; none raises. *)
+let front_door_bases =
+  [ "DO I = 1, 8\n  DO J = 1, 8\n    A(3*I,J) = A(3*I+1,J) + B(I,J)\n  ENDDO\nENDDO\n";
+    "DO I = 1, 8\n  DO J = 1, 8\n    A(I + 7, J) = A(I - 7, J) + 1.0\n  ENDDO\nENDDO\n";
+    "DO J = 1, 16\n  DO I = 1, 16\n    Y(I) = Y(I) + X(J) * M(I,J)\n  ENDDO\nENDDO\n";
+    "DO I = 2, 9\n  DO J = 1, 9\n    A(I,J) = A(I-1,J+1) * S + B(2*I,J)\n  ENDDO\nENDDO\n" ]
+
+let front_door_huge =
+  [ "1048576"; "1048577"; "1000000"; "2147483648"; "1099511627777";
+    "4611686018427387903"; "9223372036854775807" ]
+
+type edit = Byte of int * char | Drop of int | Huge of int * string
+
+let apply_edit text = function
+  | _ when text = "" -> text
+  | Byte (p, c) ->
+      String.mapi (fun i x -> if i = p mod String.length text then c else x) text
+  | Drop p ->
+      let p = p mod String.length text in
+      String.sub text 0 p ^ String.sub text (p + 1) (String.length text - p - 1)
+  | Huge (p, h) -> (
+      (* the digit run at or after [p], else an insertion at [p] *)
+      let n = String.length text in
+      let p = p mod n in
+      let is_digit c = c >= '0' && c <= '9' in
+      match Seq.find (fun i -> is_digit text.[i]) (Seq.init (n - p) (( + ) p)) with
+      | None -> String.sub text 0 p ^ h ^ String.sub text p (n - p)
+      | Some i ->
+          let j = ref i in
+          while !j < n && is_digit text.[!j] do incr j done;
+          String.sub text 0 i ^ h ^ String.sub text !j (n - !j))
+
+let front_door_gen =
+  let open QCheck2.Gen in
+  let byte chars = map2 (fun p c -> Byte (p, c)) nat (oneofl (List.of_seq (String.to_seq chars))) in
+  let edit =
+    frequency
+      [ (4, map2 (fun p h -> Huge (p, h)) nat (oneofl front_door_huge));
+        (2, byte "0123456789");
+        (1, byte "+-*(),= \nIJX");
+        (1, map (fun p -> Drop p) nat) ]
+  in
+  let* base = oneofl front_door_bases in
+  let* edits = list_size (int_range 1 3) edit in
+  return (List.fold_left apply_edit base edits)
+
+let front_door text =
+  let routine = "mutant" in
+  Result.bind (Load.nest ~name:routine (Load.Inline text)) (fun nest ->
+      Result.bind (Error.check_supported ~routine nest) (fun () ->
+          Error.guard ~stage:Error.Search ~routine (fun () ->
+              let g = Ujam_depend.Graph.build ~include_input:true nest in
+              ignore (Ujam_depend.Graph.to_dot g);
+              let r = Driver.optimize ~bound:2 ~cache:true ~machine:Presets.alpha nest in
+              let u = Ujam_ir.Unroll.clamp_divisible nest r.Driver.choice.Search.u in
+              let variant vname nest = { Ujam_native.Emit.vname; nest } in
+              ignore
+                (Ujam_native.Emit.program
+                   [ { Ujam_native.Emit.uname = routine;
+                       seed = 1;
+                       repeats = 1;
+                       variants =
+                         [ variant "orig" nest;
+                           variant "u" (Ujam_ir.Unroll.unroll_and_jam nest u) ] } ]))))
+
+let prop_front_door =
+  QCheck2.Test.make ~name:"front door: loader, gate and guard never raise" ~count:500
+    ~print:String.escaped front_door_gen (fun text ->
+      match front_door text with Ok () | Error (_ : Error.t) -> true)
+
 let suite =
   [ Alcotest.test_case "Table-2 parity on both machines" `Quick test_parity;
     Alcotest.test_case "no-cache parity" `Quick test_parity_no_cache;
@@ -326,4 +402,5 @@ let suite =
       test_seq_diagnostics_own_nest;
     Alcotest.test_case "json edge values" `Quick test_json_non_finite;
     Alcotest.test_case "seeded corpus across domains" `Quick
-      test_seeded_corpus_deterministic ]
+      test_seeded_corpus_deterministic;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 31 |]) prop_front_door ]

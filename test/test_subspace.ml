@@ -127,7 +127,7 @@ module Reference = struct
     else if Subspace.is_trivial l then None
     else begin
       let b = Mat.of_cols (Subspace.basis l) n in
-      match Mat.solve_rat (Mat.mul h b) c with
+      match Solve_reference.mat_solve_rat (Mat.mul h b) c with
       | None -> None
       | Some y ->
           Some
@@ -245,7 +245,7 @@ let prop_prepared_rat_matches_mat =
       let p = Subspace.prepare h l in
       List.for_all
         (fun c ->
-          outcome_equal (Subspace.outcome p (Vec.to_array c)) (outcome_of_rat (Mat.solve_rat h c)))
+          outcome_equal (Subspace.outcome p (Vec.to_array c)) (outcome_of_rat (Solve_reference.mat_solve_rat h c)))
         cs)
 
 let suite =
